@@ -4,7 +4,7 @@ A :class:`FaultPlan` is armed on a machine (:meth:`Kernel.arm_chaos
 <repro.kernel.kernel.Kernel.arm_chaos>`) and consulted by every
 instrumented hot path through one call::
 
-    chaos = getattr(self._counters, "chaos", None)
+    chaos = self._counters.chaos
     if chaos is not None and chaos.hit("buddy.alloc") == "error":
         raise OutOfMemoryError("chaos: injected exhaustion")
 
@@ -188,7 +188,7 @@ class FaultPlan:
         self.injections.append(Injection(index=index, site=site, action=action))
         if self._counters is not None:
             self._counters.bump("chaos_fault_injected")
-            tracer = getattr(self._counters, "tracer", None)
+            tracer = self._counters.tracer
             if tracer is not None and tracer.enabled:
                 tracer.instant(
                     "chaos_fault",

@@ -94,7 +94,7 @@ class EagerZeroing(ZeroingStrategy):
 
     @complexity("n", note="the linear baseline: zero every frame inline")
     def take_frames(self, count: int) -> List[int]:
-        chaos = getattr(self._counters, "chaos", None)
+        chaos = self._counters.chaos
         if chaos is not None:
             chaos.hit("zeroing.take")
         pfns = [
@@ -104,14 +104,14 @@ class EagerZeroing(ZeroingStrategy):
         ]
         self._clock.advance(self._costs.zero_page_ns(PAGE_SIZE) * count)
         self._counters.bump("zero_eager_pages", count)
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             san.on_frames_zeroed(pfns)
         return pfns
 
     @complexity("n", note="per-frame buddy frees")
     def return_frames(self, pfns: List[int]) -> None:
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             # Returned frames hold whatever the caller wrote: dirty.
             san.on_frames_tainted(pfns)
@@ -180,7 +180,7 @@ class CryptoErase(ZeroingStrategy):
 
     @complexity("n", note="key install is O(1); allocation stays per-frame")
     def take_frames(self, count: int) -> List[int]:
-        chaos = getattr(self._counters, "chaos", None)
+        chaos = self._counters.chaos
         if chaos is not None:
             chaos.hit("zeroing.take")
         pfns = [
@@ -193,7 +193,7 @@ class CryptoErase(ZeroingStrategy):
         if pfns:
             self._keys[pfns[0]] = self._next_key
             self._next_key += 1
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             # A fresh key makes the batch read as zeros (fresh ciphertext).
             san.on_frames_zeroed(pfns)
@@ -206,7 +206,7 @@ class CryptoErase(ZeroingStrategy):
         self._keys.pop(pfns[0], None)
         self._clock.advance(self.KEY_OP_NS)
         self._counters.bump("crypto_key_destroy")
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             # Key gone: old contents are unrecoverable garbage, not zeros.
             san.on_frames_tainted(pfns)

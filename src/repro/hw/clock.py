@@ -64,21 +64,22 @@ class EventCounters:
 
     __slots__ = ("_counts",)
 
-    #: Optional :class:`repro.obs.trace.Tracer` back-reference.  Components
-    #: that hold counters reach the machine's tracer through it (``None``
-    #: means no tracing); :class:`~repro.obs.metrics.MetricsRegistry`
-    #: instances override it per machine.
+    # Subsystem slots: the one place each armable subsystem is stored.
+    # Components that hold counters read ``self._counters.<slot>``
+    # directly (``None`` means disarmed); only ``Kernel`` writes them, on
+    # its per-machine :class:`~repro.obs.metrics.MetricsRegistry`.  The
+    # wall profiler hangs off the tracer (``tracer.profiler``).
+
+    #: :class:`repro.obs.trace.Tracer` (``None`` means no tracing).
     tracer = None
-
-    #: Optional :class:`repro.chaos.plan.FaultPlan` back-reference, set by
-    #: ``Kernel.arm_chaos``.  Instrumented hot paths consult it the same
-    #: way they reach the tracer (``None`` means no fault injection).
+    #: :class:`repro.chaos.plan.FaultPlan` (``Kernel.arm_chaos``).
     chaos = None
-
-    #: Optional :class:`repro.perf.profiler.WallProfiler` back-reference,
-    #: set by ``Kernel.arm_profiler`` (``None`` means no wall-time
-    #: attribution).
-    profiler = None
+    #: :class:`repro.sanitize.SanitizerSuite` (``Kernel.arm_sanitizers``).
+    sanitize = None
+    #: :class:`repro.ras.RasEngine` (``Kernel.arm_ras``).
+    ras = None
+    #: :class:`repro.qos.controller.QosController` (``Kernel.arm_qos``).
+    qos = None
 
     def __init__(self) -> None:
         self._counts: Counter = Counter()

@@ -17,7 +17,7 @@ in without circular imports.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
 from repro.errors import ProtectionError
 from repro.hw.cache import CacheModel
@@ -27,10 +27,6 @@ from repro.hw.rtlb import RangeEntry, RangeTlb
 from repro.hw.tlb import Tlb, TlbEntry
 from repro.lint.decorators import allocbound, allocfree, complexity, o1
 from repro.units import CACHE_LINE
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.trace import Tracer
-
 
 @runtime_checkable
 class TranslationContext(Protocol):
@@ -116,56 +112,46 @@ class Cpu:
         if vaddr < 0:
             raise ProtectionError(f"negative virtual address {vaddr:#x}")
         tracer = self._counters.tracer
-        if tracer is not None and tracer.enabled:
+        traced = tracer is not None and tracer.enabled
+        if traced:
             # alloc: allow(cold-call) -- tracer-armed runs only
-            return self._access_traced(space, vaddr, write, tracer)
-        paddr = self._translate(space, vaddr, write)
-        if paddr is not None:
-            return self._finish_access(paddr, write)
-        # alloc: allow(cold-call) -- fault path; the trap world charges itself
-        return self._access_fault(space, vaddr, write)
-
-    @o1(note="traced mirror of access(); same bounded retry and charges")
-    def _access_traced(
-        self, space: TranslationContext, vaddr: int, write: bool, tracer: "Tracer"
-    ) -> int:
-        """Access with span bookkeeping; charge sequence matches access()."""
-        tracer.begin("access", "cpu")
+            tracer.begin("access", "cpu")
         try:
-            # o1: allow(o1-size-loop) -- fault retries capped at _MAX_FAULT_RETRIES
-            for _ in range(self._MAX_FAULT_RETRIES):
-                paddr = self._translate(space, vaddr, write)
-                if paddr is not None:
-                    return self._finish_access(paddr, write)
-                # No translation (or a permission upgrade needed): fault to OS.
-                tracer.begin("fault", "fault", args={"vaddr": hex(vaddr)})
-                try:
-                    self._fault_round_trip(space, vaddr, write)
-                finally:
-                    tracer.end()
-            raise ProtectionError(
-                f"fault handler failed to map {vaddr:#x} after "
-                f"{self._MAX_FAULT_RETRIES} retries"
-            )
+            paddr = self._translate(space, vaddr, write)
+            if paddr is not None:
+                return self._finish_access(paddr, write)
+            # alloc: allow(cold-call) -- fault path; the trap world charges itself
+            return self._access_fault(space, vaddr, write)
         finally:
-            tracer.end()
+            if traced:
+                tracer.end()
 
     @o1(note="bounded fault retry; every charge lives in the round-trip helper")
     @allocbound(1, note="fault world: handler-side state is charged to the OS path")
     def _access_fault(self, space: TranslationContext, vaddr: int, write: bool) -> int:
-        """Untraced slow path, entered after one failed translation.
+        """Slow path, entered after one failed translation.
 
-        The charge sequence is identical to the pre-split retry loop:
-        success after ``k`` faults costs ``k + 1`` translations and ``k``
+        Success after ``k`` faults costs ``k + 1`` translations and ``k``
         round trips; exhaustion costs ``_MAX_FAULT_RETRIES`` of each.
+        With tracing enabled each round trip runs inside a ``fault``
+        span; the charges are the same either way.
         """
+        tracer = self._counters.tracer
+        traced = tracer is not None and tracer.enabled
         # o1: allow(o1-size-loop) -- fault retries capped at _MAX_FAULT_RETRIES
-        for _ in range(self._MAX_FAULT_RETRIES - 1):
-            self._fault_round_trip(space, vaddr, write)
+        for attempt in range(1, self._MAX_FAULT_RETRIES + 1):
+            if traced:
+                tracer.begin("fault", "fault", args={"vaddr": hex(vaddr)})
+            try:
+                self._fault_round_trip(space, vaddr, write)
+            finally:
+                if traced:
+                    tracer.end()
+            if attempt == self._MAX_FAULT_RETRIES:
+                break
             paddr = self._translate(space, vaddr, write)
             if paddr is not None:
                 return self._finish_access(paddr, write)
-        self._fault_round_trip(space, vaddr, write)
         raise ProtectionError(
             f"fault handler failed to map {vaddr:#x} after "
             f"{self._MAX_FAULT_RETRIES} retries"
@@ -186,11 +172,11 @@ class Cpu:
     @allocfree(note="sanitizer/RAS worlds are cold; the reference is shape-free")
     def _finish_access(self, paddr: int, write: bool) -> int:
         """Post-translation tail: hooks, then the data reference itself."""
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             # alloc: allow(cold-call) -- sanitized runs only
             san.on_frame_access(paddr)
-        ras = getattr(self._counters, "ras", None)
+        ras = self._counters.ras
         if ras is not None:
             # Media check: retries transient errors on the simulated
             # clock; consuming poison raises the machine-check trap.
@@ -239,7 +225,7 @@ class Cpu:
                 if write and not entry.writable:
                     return None
                 self._counters.bump("rtlb_hit")
-                san = getattr(self._counters, "sanitize", None)
+                san = self._counters.sanitize
                 if san is not None:
                     san.check_rtlb_hit(space, vaddr, entry, write)
                 return entry.translate(vaddr)
@@ -263,7 +249,7 @@ class Cpu:
                 # retry after the OS upgrades the PTE re-walks.
                 self._tlb.invalidate(vaddr, asid=space.asid)
                 return None
-            san = getattr(self._counters, "sanitize", None)
+            san = self._counters.sanitize
             if san is not None:
                 san.check_tlb_hit(space, vaddr, entry, write)
             return entry.paddr + vaddr % entry.page_size
@@ -286,7 +272,7 @@ class Cpu:
     def _broadcast_shootdown(self, attempts: int = 4) -> None:
         if self.remote_cpus <= 0:
             return
-        chaos = getattr(self._counters, "chaos", None)
+        chaos = self._counters.chaos
         # o1: allow(o1-size-loop, o1-charge-in-loop) -- broadcast retries capped at `attempts`
         for _attempt in range(attempts):
             if chaos is not None and chaos.hit("cpu.shootdown") == "error":

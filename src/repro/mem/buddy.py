@@ -45,7 +45,7 @@ class BuddyAllocator:
         self._max_order = max_order
         self._clock = clock
         self._costs = costs
-        self._counters = counters
+        self._counters = counters if counters is not None else EventCounters()
         self._free_lists: List[Set[int]] = [set() for _ in range(max_order + 1)]
         #: pfn -> order for blocks handed out (needed to free by pfn alone).
         self._allocated: Dict[int, int] = {}
@@ -96,8 +96,7 @@ class BuddyAllocator:
     def _charge(self, ns: int, event: str) -> None:
         if self._clock is not None:
             self._clock.advance(ns)
-        if self._counters is not None:
-            self._counters.bump(event)
+        self._counters.bump(event)
 
     @staticmethod
     @o1(note="bit_length, no search")
@@ -117,7 +116,7 @@ class BuddyAllocator:
             raise ValueError(
                 f"order {order} outside supported range 0..{self._max_order}"
             )
-        chaos = getattr(self._counters, "chaos", None)
+        chaos = self._counters.chaos
         if chaos is not None and chaos.hit("buddy.alloc") == "error":
             raise OutOfMemoryError(
                 f"chaos: injected exhaustion in region {self._describe()}"
@@ -143,10 +142,10 @@ class BuddyAllocator:
             self._charge(costs.buddy_split_ns if costs else 0, "buddy_split")
         self._allocated[pfn] = order
         self._free_frames -= 1 << order
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             san.on_frame_alloc(self, pfn, order)
-        qos = getattr(self._counters, "qos", None)
+        qos = self._counters.qos
         if qos is not None:
             qos.on_frames_alloc(pfn, 1 << order)
         return pfn
@@ -167,7 +166,7 @@ class BuddyAllocator:
     @o1(note="frees charge once; the merge chain charges 0 ns")
     def free(self, pfn: int) -> None:
         """Free a previously allocated block, coalescing with buddies."""
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             san.on_frame_free(self, pfn)
         self._free_block(pfn, self._costs.frame_free_ns if self._costs else 0)
@@ -186,7 +185,7 @@ class BuddyAllocator:
         """
         if not pfns:
             return
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         charge = self._costs.frame_free_ns if self._costs else 0
         # o1: allow(o1-size-loop) -- batch charges one frame_free_ns; rest 0 ns
         for pfn in pfns:
@@ -203,7 +202,7 @@ class BuddyAllocator:
         order = self._allocated.pop(pfn, None)
         if order is None:
             raise ValueError(f"pfn {pfn} was not allocated by this allocator")
-        qos = getattr(self._counters, "qos", None)
+        qos = self._counters.qos
         if qos is not None:
             qos.on_frames_free(pfn)
         self._charge(charge_ns, "buddy_free")
@@ -261,7 +260,7 @@ class BuddyAllocator:
             self._retired.add(pfn)
             self._free_frames -= 1
             self._charge(0, "buddy_retire")
-            san = getattr(self._counters, "sanitize", None)
+            san = self._counters.sanitize
             if san is not None:
                 san.on_frame_retired(self, pfn)
             return True

@@ -51,7 +51,7 @@ class ZeroPool:
         self._target_size = target_size
         self._clock = clock
         self._costs = costs
-        self._counters = counters
+        self._counters = counters if counters is not None else EventCounters()
         self._pool: Deque[int] = deque()
         #: Simulated ns of zeroing done off the critical path.
         self._background_ns = 0
@@ -70,21 +70,19 @@ class ZeroPool:
         to allocate-and-zero in the foreground (the linear baseline),
         which the ledger records separately.
         """
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if self._pool:
             pfn = self._pool.popleft()
-            if self._counters is not None:
-                self._counters.bump("zeropool_hit")
+            self._counters.bump("zeropool_hit")
             if san is not None:
                 # The fast path skips zeroing: the frame must be clean.
                 san.on_zeropool_take(pfn)
-            qos = getattr(self._counters, "qos", None)
+            qos = self._counters.qos
             if qos is not None:
                 # The charge moves from the pool (root) to the taker.
                 qos.on_frame_claimed(pfn)
             return pfn
-        if self._counters is not None:
-            self._counters.bump("zeropool_miss")
+        self._counters.bump("zeropool_miss")
         # o1: allow(flow-bounded) -- pool-miss fallback; the stocked fast path never gets here
         pfn = self._buddy.alloc(0)
         zero_ns = self._zero_cost()
@@ -98,7 +96,7 @@ class ZeroPool:
     @o1(note="one buddy free")
     def give_back(self, pfn: int) -> None:
         """Return a dirty frame to the buddy (it must be re-zeroed later)."""
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             san.on_frames_tainted((pfn,))
         self._buddy.free(pfn)
@@ -125,16 +123,16 @@ class ZeroPool:
                 break
             self._background_ns += self._zero_cost()
             self._pool.append(pfn)
-            san = getattr(self._counters, "sanitize", None)
+            san = self._counters.sanitize
             if san is not None:
                 san.on_frames_zeroed((pfn,))
-            qos = getattr(self._counters, "qos", None)
+            qos = self._counters.qos
             if qos is not None:
                 # Pooled frames park on the root cgroup: background
                 # zeroing is not billed to whoever triggered the refill.
                 qos.on_frame_pooled(pfn)
             added += 1
-        if added and self._counters is not None:
+        if added:
             self._counters.bump("zeropool_refill_frames", added)
         return added
 

@@ -129,8 +129,8 @@ class MetricsRegistry(EventCounters):
     (1, 1)
     """
 
-    # No __slots__: instances carry a __dict__ so the tracer back-reference
-    # (EventCounters.tracer class attribute) can be set per instance.
+    # No __slots__: instances carry a __dict__ so the subsystem slots
+    # (EventCounters class attributes) can be set per machine.
 
     def __init__(self, strict: bool = False) -> None:
         super().__init__()

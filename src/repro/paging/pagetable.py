@@ -134,7 +134,7 @@ class PageTable:
         self._levels = levels
         self._clock = clock
         self._costs = costs
-        self._counters = counters
+        self._counters = counters if counters is not None else EventCounters()
         self._frame_source = frame_source
         self._frame_sink = frame_sink
         self._node_count = 0
@@ -197,16 +197,14 @@ class PageTable:
         paddr = pfn * PAGE_SIZE if pfn is not None else None
         if self._clock is not None and self._costs is not None:
             self._clock.advance(self._costs.pt_node_alloc_ns)
-        if self._counters is not None:
-            self._counters.bump("pt_node_alloc")
+        self._counters.bump("pt_node_alloc")
         self._node_count += 1
         return PageTableNode(depth=depth, paddr=paddr)
 
     def _charge_pte_write(self) -> None:
         if self._clock is not None and self._costs is not None:
             self._clock.advance(self._costs.pte_write_ns)
-        if self._counters is not None:
-            self._counters.bump("pte_write")
+        self._counters.bump("pte_write")
 
     # ------------------------------------------------------------------
     # Mapping
@@ -241,7 +239,7 @@ class PageTable:
         pte = Pte(pfn=pfn, page_size=page_size, writable=writable, user=user)
         node.entries[index] = pte
         self._charge_pte_write()
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             san.on_pte_map(pte)
         return pte
@@ -291,15 +289,14 @@ class PageTable:
         clone = self._new_node(depth=node.depth)
         clone.entries = dict(node.entries)
         clone.wp_slots = set(node.wp_slots)
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         # o1: allow(o1-size-loop) -- one page-table node holds at most 512 entries
         for entry in clone.entries.values():
             if isinstance(entry, PageTableNode):
                 entry.refs += 1
             elif san is not None:
                 san.on_pte_map(entry)
-        if self._counters is not None:
-            self._counters.bump("pt_node_clone")
+        self._counters.bump("pt_node_clone")
         return clone
 
     @o1(note="one leaf clear after a fixed-depth descent")
@@ -326,7 +323,7 @@ class PageTable:
             raise MappingError(f"vaddr {vaddr:#x} is not mapped")
         del node.entries[index]
         self._charge_pte_write()
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             san.on_pte_unmap(entry)
         return entry
@@ -484,7 +481,7 @@ class PageTable:
         entry.refs -= 1
         self._charge_pte_write()
         if entry.refs <= 0:
-            san = getattr(self._counters, "sanitize", None)
+            san = self._counters.sanitize
             if san is not None:
                 san.on_subtree_dead(entry)
         return entry
@@ -564,7 +561,7 @@ class PageTable:
     def _clear_node(
         self, node: PageTableNode, dead_pfns: Optional[List[int]] = None
     ) -> int:
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         removed = 0
         for index, entry in list(node.entries.items()):
             if isinstance(entry, Pte):

@@ -2,8 +2,8 @@
 
 The fifth armable subsystem (after chaos, sanitize, ras, profiler):
 ``kernel.arm_qos()`` wires a :class:`~repro.qos.controller.QosController`
-into ``counters.qos``; unarmed machines pay one ``getattr`` per charge
-site and stay bit-identical to the baseline.
+into the ``counters.qos`` slot; unarmed machines pay one attribute read
+per charge site and stay bit-identical to the baseline.
 
 >>> from repro.kernel.kernel import Kernel
 >>> kernel = Kernel.default()

@@ -1,10 +1,10 @@
 """The QoS memory controller: charging, backpressure, and the OOM path.
 
 Armed on a machine with ``kernel.arm_qos()`` and reached from the hot
-allocation paths through ``counters.qos`` — the same back-reference
-pattern the chaos engine, sanitizers, RAS engine and profiler use, so an
-unarmed machine pays exactly one ``getattr`` per site and the golden
-figures stay bit-identical.
+allocation paths through the ``counters.qos`` slot — the same one-slot
+arming the chaos engine, sanitizers and RAS engine use, so an unarmed
+machine pays exactly one attribute read per site and the golden figures
+stay bit-identical.
 
 Charge sites (all O(1) per event):
 
@@ -308,7 +308,7 @@ class QosController:
         much memory is resident — the property the ``qos.reclaim_batch``
         fitter operation pins as CONSTANT.
         """
-        chaos = getattr(self._counters, "chaos", None)
+        chaos = self._counters.chaos
         if chaos is not None and chaos.hit("qos.reclaim") == "error":
             # Injected transient failure: skip this pass; the throttle
             # (or the next breach) provides the backpressure instead.
@@ -369,7 +369,7 @@ class QosController:
         it is doomed and dies at its next syscall/access entry), or
         ``"none"`` (no live candidates left).
         """
-        chaos = getattr(self._counters, "chaos", None)
+        chaos = self._counters.chaos
         if chaos is not None:
             chaos.hit("qos.oom_kill")
         processes = self._kernel.processes

@@ -5,11 +5,11 @@ mirrors the chaos engine: ``kernel.arm_sanitizers(suite)`` binds the
 suite to the kernel's counters registry, and every instrumented hot
 path guards its hook behind one attribute probe::
 
-    san = getattr(self._counters, "sanitize", None)
+    san = self._counters.sanitize
     if san is not None:
         san.on_frame_free(self, pfn)
 
-Unarmed cost is that single ``getattr`` — no simulated-clock charge,
+Unarmed cost is that single slot read — no simulated-clock charge,
 no counter bump — so every ``@o1`` declaration holds with sanitizers
 compiled out of the picture.  Armed, the hooks maintain pure-Python
 shadow state and never touch the simulated clock either: a fully
@@ -92,7 +92,7 @@ class SanitizerSuite:
         counters = self._counters
         if counters is not None:
             counters.bump("sanitize_violation")
-            tracer = getattr(counters, "tracer", None)
+            tracer = counters.tracer
             if tracer is not None and tracer.enabled:
                 tracer.instant(
                     "sanitize_violation",

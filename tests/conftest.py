@@ -14,6 +14,7 @@ Hypothesis settings live here, not on individual tests: one
 from __future__ import annotations
 
 import os
+from typing import Tuple
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -23,6 +24,9 @@ from repro.hw.costmodel import CostModel, MemoryTechnology
 from repro.kernel import Kernel, MachineConfig
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.physical import MemoryRegion, PhysicalMemory
+from repro.perf import WallProfiler
+from repro.ras import MediaFaultModel
+from repro.sanitize import SanitizerSuite
 from repro.units import GIB, MIB
 
 _COMMON = dict(
@@ -36,67 +40,73 @@ settings.register_profile(
 settings.register_profile("heavy", max_examples=1000, **_COMMON)
 settings.load_profile("dev")
 
-if os.environ.get("REPRO_SANITIZE"):
-    # Sanitizer-armed tier-1: every Kernel built anywhere in the suite
-    # gets the full shadow-state sanitizer suite in halt mode, so any
-    # translation/frame/persist incoherence fails the test that caused
-    # it.  Opt-in via the environment so the plain run measures the
-    # unarmed (single getattr) hot paths.
-    from repro.sanitize import SanitizerSuite
 
-    _orig_kernel_init = Kernel.__init__
+#: What each ``REPRO_ARM`` name arms on a Kernel, in arming order.  The
+#: sanitizers run in halt mode, so any translation/frame/persist
+#: incoherence fails the test that caused it.  RAS gets a clean fault model
+#: and QoS only the limitless root cgroup, so their hooks run everywhere
+#: while nothing is injected and no watermark can breach.  The profiler
+#: also enables tracing.  No armed hook may move a simulated ns.
+ARMABLE = {
+    "sanitize": lambda kernel: kernel.arm_sanitizers(SanitizerSuite()),
+    "ras": lambda kernel: kernel.arm_ras(
+        model=MediaFaultModel(seed=0, faults_per_bind=0)
+    ),
+    "qos": lambda kernel: kernel.arm_qos(),
+    "profile": lambda kernel: kernel.arm_profiler(WallProfiler()),
+}
 
-    def _armed_kernel_init(self, *args, **kwargs):  # type: ignore[no-untyped-def]
-        _orig_kernel_init(self, *args, **kwargs)
-        self.arm_sanitizers(SanitizerSuite())
 
-    Kernel.__init__ = _armed_kernel_init  # type: ignore[method-assign]
+def _ordered(names) -> Tuple[str, ...]:
+    wanted = set(names)
+    unknown = wanted - set(ARMABLE)
+    if unknown:
+        raise pytest.UsageError(
+            f"REPRO_ARM names unknown subsystems {sorted(unknown)}; "
+            f"choose from {','.join(ARMABLE)}"
+        )
+    return tuple(name for name in ARMABLE if name in wanted)
 
-if os.environ.get("REPRO_RAS"):
-    # RAS-armed tier-1: every Kernel gets the RAS engine with a *clean*
-    # fault model (no sampled faults), so the whole suite runs through
-    # the armed media-check, degradation and file-IO hooks without any
-    # injected faults perturbing clocks or killing processes.  Fault
-    # behaviour itself is covered by the dedicated test_ras_* modules.
-    from repro.ras import MediaFaultModel
 
-    _plain_kernel_init = Kernel.__init__
+#: Armed tier-1: ``REPRO_ARM=sanitize,ras,qos,profile`` (any subset) arms
+#: every Kernel built anywhere in the suite.
+ENV_ARMED = _ordered(
+    name.strip() for name in os.environ.get("REPRO_ARM", "").split(",") if name.strip()
+)
+#: What the next Kernel gets; the ``_arming`` fixture sets it per test.
+_armed: Tuple[str, ...] = ENV_ARMED
 
-    def _ras_kernel_init(self, *args, **kwargs):  # type: ignore[no-untyped-def]
-        _plain_kernel_init(self, *args, **kwargs)
-        self.arm_ras(model=MediaFaultModel(seed=0, faults_per_bind=0))
+_kernel_init = Kernel.__init__
 
-    Kernel.__init__ = _ras_kernel_init  # type: ignore[method-assign]
 
-if os.environ.get("REPRO_QOS"):
-    # QoS-armed tier-1: every Kernel gets the memory controller with only
-    # the limitless root cgroup, so the whole suite runs through the armed
-    # charge/uncharge hooks while no watermark can ever breach.  The
-    # pressure paths are breach-only, so every simulated figure must come
-    # out bit-identical to the plain run; this mode exists to prove that.
-    _unqos_kernel_init = Kernel.__init__
+def _armed_kernel_init(self, *args, **kwargs):  # type: ignore[no-untyped-def]
+    _kernel_init(self, *args, **kwargs)
+    for name in _armed:
+        ARMABLE[name](self)
 
-    def _qos_kernel_init(self, *args, **kwargs):  # type: ignore[no-untyped-def]
-        _unqos_kernel_init(self, *args, **kwargs)
-        self.arm_qos()
 
-    Kernel.__init__ = _qos_kernel_init  # type: ignore[method-assign]
+Kernel.__init__ = _armed_kernel_init  # type: ignore[method-assign]
 
-if os.environ.get("REPRO_PROFILE"):
-    # Profiler-armed tier-1: every Kernel gets a WallProfiler (which also
-    # enables tracing, so spans carry wall-time samples).  The profiler
-    # never touches the simulated clock, so every simulated figure —
-    # including the goldens — must come out bit-identical to the plain
-    # run; this mode exists to prove exactly that.
-    from repro.perf import WallProfiler
 
-    _bare_kernel_init = Kernel.__init__
+@pytest.fixture(autouse=True)
+def _arming(request):
+    """Arm per ``REPRO_ARM``, or not at all under ``@pytest.mark.unarmed``."""
+    global _armed
+    unarmed = request.node.get_closest_marker("unarmed") is not None
+    _armed = () if unarmed else ENV_ARMED
+    yield
+    _armed = ENV_ARMED
 
-    def _profiled_kernel_init(self, *args, **kwargs):  # type: ignore[no-untyped-def]
-        _bare_kernel_init(self, *args, **kwargs)
-        self.arm_profiler(WallProfiler())
 
-    Kernel.__init__ = _profiled_kernel_init  # type: ignore[method-assign]
+@pytest.fixture
+def arm_kernels():
+    """Add subsystems to what every Kernel built in this test gets."""
+
+    def arm(names) -> None:
+        global _armed
+        _armed = _ordered(set(_armed) | set(names))
+
+    return arm
 
 
 @pytest.fixture

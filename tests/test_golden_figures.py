@@ -88,8 +88,18 @@ def _compare(actual, expected, path, problems):
         problems.append(f"{path}: {actual!r} != golden {expected!r}")
 
 
-@pytest.mark.parametrize("figure", sorted(FIGURES))
-def test_figure_matches_golden(figure, monkeypatch):
+#: Every armable subsystem at once (see tests/conftest.py): the hooks
+#: never touch the simulated clock, so the figures must not move at all.
+ALL_ARMED = ("sanitize", "ras", "qos", "profile")
+CASES = [pytest.param(figure, (), id=figure) for figure in sorted(FIGURES)] + [
+    pytest.param(figure, ALL_ARMED, id=f"{figure}-all-armed")
+    for figure in sorted(FIGURES)
+]
+
+
+@pytest.mark.parametrize("figure, armed", CASES)
+def test_figure_matches_golden(figure, armed, monkeypatch, arm_kernels):
+    arm_kernels(armed)
     module_name, overrides = FIGURES[figure]
     module = _load_bench(module_name)
     for name, value in overrides.items():
@@ -108,3 +118,5 @@ def test_figure_matches_golden(figure, monkeypatch):
     problems = []
     _compare(result, expected, figure, problems)
     assert problems == [], "\n".join(problems)
+    if armed:
+        assert result == expected, f"{figure} moved with {armed} armed"

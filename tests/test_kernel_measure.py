@@ -1,5 +1,7 @@
 """Kernel.measure semantics: nesting, tracing state, crash boundaries."""
 
+import pytest
+
 from repro.kernel import Kernel, MachineConfig
 from repro.obs.trace import EventKind
 from repro.units import GIB, KIB, MIB
@@ -40,11 +42,9 @@ class TestNestedMeasure:
             >= 2 * inner.counter_delta["fault_minor"]
         )
 
+    @pytest.mark.unarmed
     def test_nested_traced_measures(self):
         kernel = fresh_kernel()
-        # May already be on (e.g. REPRO_PROFILE arms every kernel with
-        # tracing enabled); measure must restore whatever it found.
-        was_enabled = kernel.tracer.enabled
         with kernel.measure(trace=True) as outer:
             touch(kernel, "a")
             with kernel.measure(trace=True) as inner:
@@ -56,21 +56,19 @@ class TestNestedMeasure:
         # the inner context must not switch tracing off under the outer
         assert len(outer.events) > len(inner.events)
         # restored to its pre-measure state once the outer exits
-        assert kernel.tracer.enabled == was_enabled
+        assert not kernel.tracer.enabled
 
+    @pytest.mark.unarmed
     def test_traced_inside_untraced(self):
         kernel = fresh_kernel()
-        was_enabled = kernel.tracer.enabled
         with kernel.measure() as outer:
             with kernel.measure(trace=True) as inner:
                 touch(kernel)
         assert sum(inner.attribution.values()) == inner.elapsed_ns
         assert outer.elapsed_ns >= inner.elapsed_ns
-        if not was_enabled:
-            # a plain measure neither enables tracing nor attributes —
-            # unless something else (REPRO_PROFILE) had tracing on.
-            assert outer.attribution == {}
-        assert kernel.tracer.enabled == was_enabled
+        # a plain measure neither enables tracing nor attributes
+        assert outer.attribution == {}
+        assert not kernel.tracer.enabled
 
 
 class TestMeasureAcrossCrash:

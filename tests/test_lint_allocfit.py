@@ -187,6 +187,8 @@ class TestRegisteredOps:
         assert result.expect_growth and result.grew and result.ok
         assert result.per_call_bytes > 8.0
 
+    # The certificate is about the unarmed hit path; armed worlds are cold.
+    @pytest.mark.unarmed
     def test_certified_tlb_hit_is_allocation_free(self):
         """The headline certificate: a TLB-warm access nets ~0 bytes."""
         lines = []

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -80,6 +82,8 @@ class TestLintCommand:
         assert len(report["flow"]["controls_verified"]) == 2
         assert report["flow"]["stale_suppressions"] == []
 
+    # Includes the allocfit cross-check of the unarmed hit path.
+    @pytest.mark.unarmed
     def test_alloc_clean_with_artifacts(self, capsys, tmp_path):
         report_path = tmp_path / "lint_report.json"
         assert main(["lint", "--alloc", "--json", str(report_path)]) == 0

@@ -7,8 +7,6 @@ construction (the root ``measure`` span covers the whole region); the
 exported JSON only rounds through microsecond floats.
 """
 
-import os
-
 import pytest
 
 from repro.kernel import Kernel, MachineConfig
@@ -73,10 +71,7 @@ class TestAttributionInvariant:
         # the measure root runs as the kernel, the workload as the process
         assert 0 in pids
 
-    @pytest.mark.skipif(
-        bool(os.environ.get("REPRO_PROFILE")),
-        reason="REPRO_PROFILE arms every Kernel with tracing enabled",
-    )
+    @pytest.mark.unarmed
     def test_untraced_measure_has_no_attribution(self):
         kernel = fresh_kernel()
         process = kernel.spawn("plain")

@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-import os
 import pstats
 
 import pytest
-
-#: tests/conftest.py arms a profiler on every Kernel under REPRO_PROFILE;
-#: the "unarmed by default" pins are meaningless in that mode.
-SUITE_ARMED = bool(os.environ.get("REPRO_PROFILE"))
 
 from repro.kernel import Kernel, MachineConfig
 from repro.perf import WallProfiler, correlation_report, correlation_rows
@@ -104,11 +99,10 @@ class TestHooks:
 # Kernel integration: arming, mirroring, disarming
 # ----------------------------------------------------------------------
 class TestArming:
-    @pytest.mark.skipif(SUITE_ARMED, reason="REPRO_PROFILE arms every Kernel")
+    @pytest.mark.unarmed
     def test_unarmed_by_default(self):
         kernel = make_kernel()
         assert kernel.profiler is None
-        assert kernel.counters.profiler is None
         assert kernel.tracer.profiler is None
 
     def test_arm_wires_all_back_references(self):
@@ -116,7 +110,6 @@ class TestArming:
         profiler = kernel.arm_profiler()
         assert isinstance(profiler, WallProfiler)
         assert kernel.profiler is profiler
-        assert kernel.counters.profiler is profiler
         assert kernel.tracer.profiler is profiler
         assert kernel.tracer.enabled
 
@@ -125,7 +118,6 @@ class TestArming:
         kernel.arm_profiler()
         kernel.disarm_profiler()
         assert kernel.profiler is None
-        assert kernel.counters.profiler is None
         assert kernel.tracer.profiler is None
 
     def test_wall_attribution_mirrors_sim_attribution_keys(self):
@@ -199,7 +191,7 @@ class TestZeroOverhead:
         armed = run_workload(armed_kernel)
         assert plain == armed
 
-    @pytest.mark.skipif(SUITE_ARMED, reason="REPRO_PROFILE arms every Kernel")
+    @pytest.mark.unarmed
     def test_import_alone_changes_nothing(self):
         # repro.perf is imported at module top; a fresh unarmed kernel
         # still runs with tracer disabled and no profiler hooks.

@@ -12,6 +12,8 @@ correct kernel must keep:
   sequence, every recovery oracle after the machine comes back up.
 """
 
+import itertools
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -188,6 +190,9 @@ class TestChaosProperties:
         sys = kernel.syscalls(process)
         live_maps = []  # (va, size)
         regions = []
+        # Monotonic, so a region made after a release never reuses a
+        # live region's name.
+        region_names = itertools.count()
         for _ in range(data.draw(st.integers(2, 12))):
             action = data.draw(
                 st.sampled_from(
@@ -237,7 +242,7 @@ class TestChaosProperties:
                         process,
                         pages * PAGE_SIZE,
                         strategy=strategy,
-                        name=f"/r{len(regions)}",
+                        name=f"/r{next(region_names)}",
                     )
                 )
             elif action == "release" and regions:

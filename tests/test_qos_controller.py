@@ -37,6 +37,24 @@ class TestArming:
         assert kernel.qos is None
         assert kernel.counters.qos is None
 
+    def test_arm_then_disarm_every_subsystem_empties_every_slot(self, kernel):
+        from repro.chaos import FaultPlan
+
+        kernel.arm_chaos(FaultPlan.counting())
+        kernel.arm_sanitizers()
+        kernel.arm_ras()
+        kernel.arm_qos()
+        kernel.arm_profiler()
+        kernel.disarm_chaos()
+        kernel.disarm_sanitizers()
+        kernel.disarm_ras()
+        kernel.disarm_qos()
+        kernel.disarm_profiler()
+        for slot in ("chaos", "sanitize", "ras", "qos"):
+            assert getattr(kernel.counters, slot) is None, slot
+        assert kernel.tracer.profiler is None
+
+    @pytest.mark.unarmed
     def test_spawn_cgroup_requires_armed_controller(self, kernel):
         from repro.errors import ConfigurationError
 
