@@ -15,7 +15,9 @@ make it the natural substrate for file-only memory:
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
+from itertools import chain, repeat, starmap
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import FileSystemError, NoSpaceError, SimulatedCrashError
@@ -33,8 +35,9 @@ from repro.vm.vma import MemoryBacking
 class BlockAllocator:
     """Bitmap-backed extent allocator over one NVM region.
 
-    One bit per 4 KiB block; allocation finds a contiguous clear run
-    (next-fit from the last allocation point) and charges per *extent*,
+    One bit per 4 KiB block, held as runs of set bits; allocation finds a
+    contiguous clear run (next-fit from the last allocation point, one
+    step per allocated run passed) and charges per *extent*,
     not per block — "unused blocks are represented by a single bit in a
     bitmap" (§3.1).
     """
@@ -91,7 +94,7 @@ class BlockAllocator:
             )
         self._clock.advance(self._costs.extent_alloc_ns + self._costs.bitmap_run_ns)
         self._counters.bump("extent_alloc")
-        # o1: allow(flow-bounded) -- the bitmap scan is priced as one bitmap_run_ns, the model's slow path
+        # o1: allow(flow-bounded) -- the run search is priced as one bitmap_run_ns, the model's slow path
         start = self._find_aligned_run(nblocks, align_frames)
         if start is None:
             raise NoSpaceError(
@@ -111,7 +114,7 @@ class BlockAllocator:
             qos.on_nvm_alloc(nblocks)
         return Extent(logical=0, pfn=self._region.first_pfn + start, count=nblocks)
 
-    @complexity("n", note="next-fit bitmap scan for an aligned run")
+    @complexity("n", note="next-fit gap walk for an aligned run")
     def _find_aligned_run(self, nblocks: int, align_frames: int) -> Optional[int]:
         if align_frames <= 1:
             return self._bitmap.find_clear_run(nblocks, self._hint)
@@ -119,7 +122,7 @@ class BlockAllocator:
         first = self._region.first_pfn
         candidate = self._bitmap.find_clear_run(nblocks, self._hint)
         scanned_from = candidate
-        # o1: allow(o1-size-loop, o1-charge-in-loop) -- candidates advance monotonically; one bitmap pass total
+        # o1: allow(o1-size-loop, o1-charge-in-loop) -- candidates advance monotonically; one walk over the runs total
         while candidate is not None:
             misalign = (first + candidate) % align_frames
             if misalign == 0:
@@ -145,7 +148,7 @@ class BlockAllocator:
             start = None
             # o1: allow(o1-size-loop, o1-charge-in-loop, o1-nested-size-loop) -- run halves each probe, a log-bounded search
             while run > 0:
-                # o1: allow(flow-bounded) -- the bitmap scan is the priced fragmentation fallback
+                # o1: allow(flow-bounded) -- the gap walk is the priced fragmentation fallback
                 start = self._bitmap.find_clear_run(run, self._hint)
                 if start is not None:
                     break
@@ -835,63 +838,107 @@ class Pmfs(FileSystem):
         if traced:
             tracer.end()
 
-    @complexity("n", note="one pass over the trees and the block bitmap")
+    @complexity("n", note="one merge of the trees' extents against the allocated runs")
     def _scrub(self) -> None:
         """Free allocated blocks owned by no file.
 
         After replay the extent trees are the only ground truth; any
-        bitmap bit set outside them was leaked by a record recovery could
-        not trust.  Bits are re-checked individually so scrubbing is safe
-        to run (and re-run) against any bitmap state.
+        allocated run outside them was leaked by a record recovery could
+        not trust.  The leak is recomputed from the bitmap's current runs,
+        so scrubbing is safe to run (and re-run) against any bitmap state.
         """
-        claimed = set()
-        for tree in self._trees.values():
-            # o1: allow(o1-size-loop, o1-charge-in-loop, o1-nested-size-loop) -- extents across all trees fit the declared n
-            for extent in tree.extents():
-                claimed.update(range(extent.pfn, extent.pfn + extent.count))
-        region = self.allocator._region
+        _doubly_claimed, claims, _owners = self._claims()
         bitmap = self.allocator._bitmap
+        segments = bitmap.set_runs.overlay(claims, 0, bitmap.size)
+        leaked = [
+            (start, end)
+            for start, end, allocated, owner in segments
+            if allocated and owner < 0
+        ]
         san = self._counters.sanitize
+        if san is not None:
+            # One notification per leaked block.  A leaked block reclaim
+            # is not a free of a live allocation: skip the double-free
+            # check.
+            first = self.allocator._region.first_pfn
+            for index in chain.from_iterable(starmap(range, leaked)):
+                san.on_nvm_free(self.allocator, first + index, 1, check=False)
         scrubbed = 0
-        for index in range(bitmap.size):
-            if bitmap.test(index) and region.first_pfn + index not in claimed:
-                if san is not None:
-                    # Leaked block reclaim, not a free of a live
-                    # allocation: skip the double-free check.
-                    san.on_nvm_free(
-                        self.allocator, region.first_pfn + index, 1, check=False
-                    )
-                bitmap.clear_range(index, 1)
-                scrubbed += 1
+        for start, end in leaked:
+            bitmap.clear_range(start, end - start)
+            scrubbed += end - start
         if scrubbed:
             self._clock.advance(self._costs.bitmap_run_ns * scrubbed)
             self._counters.bump("recovery_scrub_blocks", scrubbed)
 
+    @complexity("n", note="one visit per extent across all trees, plus one per doubly-claimed block")
+    def _claims(self) -> Tuple[List[str], List[Tuple[int, int]], List[int]]:
+        """Paint every file extent, in tree order, onto disjoint runs.
+
+        Each run is labelled with the ino that claimed it last: a later
+        claim repaints the runs it overlaps, and every block it repaints
+        is reported as doubly claimed.  Returns ``(problems, runs,
+        owners)`` with ``runs`` as ascending ``(start, end)`` block
+        indices relative to the allocator's region.
+        """
+        starts: List[int] = []
+        ends: List[int] = []
+        owners: List[int] = []
+        #: (run start, run end, previous owner, (claim lo, claim hi, ino))
+        repainted: List[Tuple[int, int, int, Tuple[int, int, int]]] = []
+        for ino, tree in self._trees.items():
+            # o1: allow(o1-nested-size-loop) -- extents across all trees fit the declared n
+            for extent in tree.extents():
+                lo, hi = extent.pfn, extent.pfn + extent.count
+                left = bisect.bisect_right(ends, lo)
+                right = bisect.bisect_left(starts, hi, left)
+                repainted.extend(
+                    zip(
+                        starts[left:right],
+                        ends[left:right],
+                        owners[left:right],
+                        repeat((lo, hi, ino), right - left),
+                    )
+                )
+                painted = [(lo, hi, ino)]
+                if left < right and starts[left] < lo:
+                    painted.insert(0, (starts[left], lo, owners[left]))
+                if left < right and ends[right - 1] > hi:
+                    painted.append((hi, ends[right - 1], owners[right - 1]))
+                starts[left:right], ends[left:right], owners[left:right] = zip(*painted)
+        problems = [
+            f"block {pfn} claimed by ino {previous} and ino {ino}"
+            for start, end, previous, (lo, hi, ino) in repainted
+            for pfn in range(max(start, lo), min(end, hi))
+        ]
+        first = self.allocator._region.first_pfn
+        runs = [(start - first, end - first) for start, end in zip(starts, ends)]
+        return problems, runs, owners
+
     def fsck(self) -> List[str]:
         """Consistency check: every allocated block belongs to exactly
         one file extent.  Returns human-readable problems (empty = clean).
+
+        Doubly-claimed blocks come first, in tree order; then leaked and
+        orphaned blocks in ascending pfn.  The check is one merge of the
+        file extents against the allocator's runs: its cost grows with
+        extents, runs and problems found, never with the region's size.
         """
-        problems: List[str] = []
-        claimed: Dict[int, int] = {}
-        for ino, tree in self._trees.items():
-            for extent in tree.extents():
-                for pfn in range(extent.pfn, extent.pfn + extent.count):
-                    if pfn in claimed:
-                        problems.append(
-                            f"block {pfn} claimed by ino {claimed[pfn]} "
-                            f"and ino {ino}"
-                        )
-                    claimed[pfn] = ino
-        region = self.allocator._region
+        problems, claims, owners = self._claims()
+        first = self.allocator._region.first_pfn
         bitmap = self.allocator._bitmap
-        for index in range(bitmap.size):
-            pfn = region.first_pfn + index
-            allocated = bitmap.test(index)
-            if allocated and pfn not in claimed:
-                problems.append(f"block {pfn} allocated but owned by no file")
-            elif not allocated and pfn in claimed:
-                problems.append(
-                    f"block {pfn} owned by ino {claimed[pfn]} but free in bitmap"
+        for start, end, allocated, owner in bitmap.set_runs.overlay(
+            claims, 0, bitmap.size
+        ):
+            if allocated and owner < 0:
+                problems.extend(
+                    f"block {pfn} allocated but owned by no file"
+                    for pfn in range(first + start, first + end)
+                )
+            elif not allocated:
+                problems.extend(
+                    f"block {pfn} owned by ino {owners[owner]} but free in bitmap"
+                    for pfn in range(first + start, first + end)
                 )
         return problems
 

@@ -4,19 +4,20 @@ File systems represent free space with one bit per block — the paper's §3.1
 contrasts this ("unused blocks are represented by a single bit in a bitmap")
 with the kernel's heavyweight per-page metadata.  The operations here are
 run-oriented (``set_range``, ``find_clear_run``) because extent-based
-allocation wants contiguous runs, and because run operations touch
-O(run/word) memory rather than O(run) — part of what makes file-system
-allocation cheap at scale.
+allocation wants contiguous runs.
 
-The backing store is a single Python int used as a bitset, which makes the
-word-level operations fast and the structure trivially copyable.
+The backing store is one :class:`~repro.mem.extentset.ExtentSet` of the
+*set* runs, so every operation costs a bisect plus the runs it passes —
+never one step per block.  The view is strict: setting a set bit or
+clearing a clear bit is an error, as on a real allocator bitmap.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.lint.decorators import complexity
+from repro.lint.decorators import complexity, o1
+from repro.mem.extentset import ExtentSet
 
 
 class Bitmap:
@@ -26,8 +27,7 @@ class Bitmap:
         if size <= 0:
             raise ValueError(f"bitmap size must be positive, got {size}")
         self._size = size
-        self._bits = 0
-        self._set_count = 0
+        self._set = ExtentSet()
 
     @property
     def size(self) -> int:
@@ -37,12 +37,17 @@ class Bitmap:
     @property
     def set_count(self) -> int:
         """Number of set (allocated) bits."""
-        return self._set_count
+        return self._set.members
 
     @property
     def clear_count(self) -> int:
         """Number of clear (free) bits."""
-        return self._size - self._set_count
+        return self._size - self._set.members
+
+    @property
+    def set_runs(self) -> ExtentSet:
+        """The set bits as runs (read-only: mutate through the bitmap)."""
+        return self._set
 
     def _check_range(self, start: int, length: int) -> None:
         if start < 0 or length < 0 or start + length > self._size:
@@ -54,49 +59,46 @@ class Bitmap:
     # ------------------------------------------------------------------
     # Single-bit operations
     # ------------------------------------------------------------------
+    @o1(note="one bisect over the set runs")
     def test(self, index: int) -> bool:
         """True if bit ``index`` is set."""
         self._check_range(index, 1)
-        return bool(self._bits >> index & 1)
+        return index in self._set
 
     # ------------------------------------------------------------------
     # Run operations
     # ------------------------------------------------------------------
+    @o1(note="one bisect, then a merge with at most two neighbour runs")
     def set_range(self, start: int, length: int) -> None:
         """Set ``length`` bits from ``start``; all must currently be clear."""
         self._check_range(start, length)
         if length == 0:
             return
-        mask = (1 << length) - 1 << start
-        if self._bits & mask:
+        if self._set.first_in(start, start + length) is not None:
             raise ValueError(
                 f"set_range([{start}, {start + length})) overlaps set bits"
             )
-        self._bits |= mask
-        self._set_count += length
+        self._set.add(start, start + length)
 
+    @o1(note="one bisect, then a cut of the one run that covers the range")
     def clear_range(self, start: int, length: int) -> None:
         """Clear ``length`` bits from ``start``; all must currently be set."""
         self._check_range(start, length)
         if length == 0:
             return
-        mask = (1 << length) - 1 << start
-        if self._bits & mask != mask:
+        if not self._set.covers(start, start + length):
             raise ValueError(
                 f"clear_range([{start}, {start + length})) covers clear bits"
             )
-        self._bits &= ~mask
-        self._set_count -= length
+        self._set.discard(start, start + length)
 
+    @o1(note="one bisect over the set runs")
     def run_is_clear(self, start: int, length: int) -> bool:
         """True if every bit in ``[start, start + length)`` is clear."""
         self._check_range(start, length)
-        if length == 0:
-            return True
-        mask = (1 << length) - 1 << start
-        return not self._bits & mask
+        return self._set.first_in(start, start + length) is None
 
-    @complexity("n", note="next-fit scan across the bitmap")
+    @complexity("n", note="next-fit gap walk: one step per set run passed")
     def find_clear_run(self, length: int, start_hint: int = 0) -> Optional[int]:
         """First index of ``length`` consecutive clear bits, or None.
 
@@ -113,39 +115,15 @@ class Bitmap:
             found = self._scan(0, hint + length - 1, length)
         return found
 
-    @complexity("n", note="skips whole clear/set runs, worst case one pass")
+    @complexity("n", note="one step per gap between set runs in the window")
     def _scan(self, lo: int, hi: int, length: int) -> Optional[int]:
-        """Find a clear run of ``length`` within ``[lo, min(hi, size))``."""
-        hi = min(hi, self._size)
-        index = lo
-        while index + length <= hi:
-            if self._bits >> index & 1:
-                index += 1
-                continue
-            # Found a clear bit: the clear run extends to the next set bit.
-            window = self._bits >> index
-            if window == 0:
-                return index  # everything from here up is clear
-            lowest_set = window & -window
-            next_set = lowest_set.bit_length() - 1
-            if next_set >= length:
-                return index
-            index += next_set + 1
-        return None
+        """Lowest start of a clear run of ``length`` within ``[lo, min(hi, size))``."""
+        return self._set.first_gap(lo, min(hi, self._size), length)
 
+    @complexity("n", note="one step per gap between set runs")
     def largest_clear_run(self) -> int:
         """Length of the longest run of clear bits (fragmentation metric)."""
-        best = 0
-        current = 0
-        bits = self._bits
-        for index in range(self._size):
-            if bits >> index & 1:
-                current = 0
-            else:
-                current += 1
-                if current > best:
-                    best = current
-        return best
+        return self._set.largest_gap(0, self._size)
 
     def __repr__(self) -> str:
-        return f"Bitmap(size={self._size}, set={self._set_count})"
+        return f"Bitmap(size={self._size}, set={self._set.members})"

@@ -6,10 +6,11 @@ Shadow state, per allocator:
   blocks (``pfn -> order``), lazily seeded from the allocator's own
   ledger at the first armed event so allocations made before arming
   (e.g. the zero pool refilled inside ``Kernel.__init__``) are known.
-* **NVM (PMFS block allocator)** — event-based: the sets of blocks
-  allocated and freed *since arming*.  The bitmap's pre-arm contents
-  are unknown and stay unjudged; a block freed twice since arming is a
-  double free regardless.
+* **NVM (PMFS block allocator)** — event-based: the blocks allocated and
+  freed *since arming*, each kept as an :class:`ExtentSet` of runs so an
+  extent of any size costs a run update, not a per-block one.  The
+  bitmap's pre-arm contents are unknown and stay unjudged; a block freed
+  twice since arming is a double free regardless.
 * **Taint** — frames whose contents are not zero (crypto-erased or
   returned dirty).  The zero pool's fast path must only ever hand out
   frames that were zeroed since they were last dirtied.
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Set, Tuple
 
-from repro.lint.decorators import complexity, o1
+from repro.lint.decorators import o1
+from repro.mem.extentset import ExtentSet
 from repro.units import PAGE_SIZE
 
 Report = Callable[[str, str, Dict[str, Any]], None]
@@ -39,10 +41,10 @@ class FrameSan:
         self._dram: Dict[int, Dict[int, int]] = {}
         #: id(buddy) -> (first_pfn, frame_count, max_order) for UAF lookup.
         self._dram_regions: Dict[int, Tuple[int, int, int]] = {}
-        #: id(nvm allocator) -> set of blocks allocated since arming.
-        self._nvm_allocated: Dict[int, Set[int]] = {}
-        #: id(nvm allocator) -> set of blocks freed (and not re-allocated).
-        self._nvm_freed: Dict[int, Set[int]] = {}
+        #: id(nvm allocator) -> runs of blocks allocated since arming.
+        self._nvm_allocated: Dict[int, ExtentSet] = {}
+        #: id(nvm allocator) -> runs of blocks freed (and not re-allocated).
+        self._nvm_freed: Dict[int, ExtentSet] = {}
         #: id(nvm allocator) -> (first_pfn, block_count) for UAF lookup.
         self._nvm_regions: Dict[int, Tuple[int, int]] = {}
         #: 4 KiB frames whose contents are known non-zero.
@@ -50,7 +52,7 @@ class FrameSan:
         #: Frames permanently retired by RAS — any later allocation,
         #: free, or access of one is a violation.  PFNs are globally
         #: unique across regions, so one set covers DRAM and NVM.
-        self._retired: Set[int] = set()
+        self._retired = ExtentSet()
 
     # ------------------------------------------------------------------
     # DRAM buddy ledger
@@ -71,13 +73,10 @@ class FrameSan:
             )
         return ledger
 
-    @o1(note="probes the retired set, not the block")
+    @o1(note="one bisect of the retired runs")
     def on_dram_alloc(self, allocator: Any, pfn: int, order: int) -> None:
         """Buddy handed out a block."""
-        end = pfn + (1 << order)
-        # Iterate the (small) retired set, not the (possibly huge) block.
-        # o1: allow(o1-size-loop) -- the retired set holds the few frames RAS pulled, not operand data
-        if any(pfn <= retired < end for retired in self._retired):
+        if self._retired.first_in(pfn, pfn + (1 << order)) is not None:
             self._report(
                 "retired-frame-realloc",
                 f"buddy handed out block pfn {pfn:#x} order {order} "
@@ -126,23 +125,22 @@ class FrameSan:
     # ------------------------------------------------------------------
     # NVM block ledger
     # ------------------------------------------------------------------
-    def _nvm_sets(self, allocator: Any) -> Tuple[Set[int], Set[int]]:
+    def _nvm_sets(self, allocator: Any) -> Tuple[ExtentSet, ExtentSet]:
         key = id(allocator)
         allocated = self._nvm_allocated.get(key)
         if allocated is None:
-            allocated = set()
+            allocated = ExtentSet()
             self._nvm_allocated[key] = allocated
-            self._nvm_freed[key] = set()
+            self._nvm_freed[key] = ExtentSet()
             region = allocator._region
             self._nvm_regions[key] = (region.first_pfn, region.frame_count)
         return allocated, self._nvm_freed[key]
 
-    @complexity("n", note="one ledger update per block of the extent")
+    @o1(note="one run update per ledger, any extent size")
     def on_nvm_alloc(self, allocator: Any, first_block: int, block_count: int) -> None:
         """PMFS allocated an extent of blocks."""
         end = first_block + block_count
-        # o1: allow(o1-size-loop) -- the retired set holds the few frames RAS pulled, not operand data
-        if any(first_block <= retired < end for retired in self._retired):
+        if self._retired.first_in(first_block, end) is not None:
             self._report(
                 "retired-frame-realloc",
                 f"NVM extent [{first_block:#x}, {end:#x}) contains a "
@@ -150,27 +148,31 @@ class FrameSan:
                 {"pfn": first_block, "count": block_count},
             )
         allocated, freed = self._nvm_sets(allocator)
-        for block in range(first_block, first_block + block_count):
-            freed.discard(block)
-            allocated.add(block)
+        freed.discard(first_block, end)
+        allocated.add(first_block, end)
 
-    @complexity("n", note="one ledger update per block of the extent")
+    @o1(note="one run update per ledger, any extent size")
     def on_nvm_free(
         self, allocator: Any, first_block: int, block_count: int, check: bool
     ) -> None:
-        """PMFS freed an extent.  ``check=False`` for fsck scrubbing."""
+        """PMFS freed an extent.  ``check=False`` for fsck scrubbing.
+
+        A double free is reported at the first block already freed, after
+        the blocks below it have been moved to the freed ledger.
+        """
         allocated, freed = self._nvm_sets(allocator)
-        for block in range(first_block, first_block + block_count):
-            if check and block in freed:
-                self._report(
-                    "double-free",
-                    f"NVM block {block:#x} freed twice (second free without "
-                    "an intervening allocation)",
-                    {"pfn": block},
-                )
-                return
-            allocated.discard(block)
-            freed.add(block)
+        end = first_block + block_count
+        twice = freed.first_in(first_block, end) if check else None
+        upto = end if twice is None else twice
+        allocated.discard(first_block, upto)
+        freed.add(first_block, upto)
+        if twice is not None:
+            self._report(
+                "double-free",
+                f"NVM block {twice:#x} freed twice (second free without "
+                "an intervening allocation)",
+                {"pfn": twice},
+            )
 
     # ------------------------------------------------------------------
     # Use-after-free at access time
@@ -201,7 +203,7 @@ class FrameSan:
         # o1: allow(o1-size-loop) -- region list is machine topology, a config constant
         for key, (first, count) in self._nvm_regions.items():
             if first <= frame < first + count:
-                if frame in self._nvm_freed.get(key, set()):
+                if frame in self._nvm_freed[key]:
                     self._report(
                         "use-after-free",
                         f"data access at pa {paddr:#x} landed in freed NVM "
@@ -218,16 +220,15 @@ class FrameSan:
         order-0 allocation it will never hand out; mirror that and mark
         the frame permanently unusable."""
         self._dram_ledger(allocator)[pfn] = 0
-        self._retired.add(pfn)
+        self._retired.add(pfn, pfn + 1)
 
-    @complexity("n", note="one ledger update per retired block")
+    @o1(note="one run update per ledger")
     def on_nvm_retired(self, allocator: Any, first_block: int, block_count: int) -> None:
         """RAS retired NVM blocks (badblock adoption or migration): the
         bitmap keeps them allocated forever; mark them unusable."""
         allocated, _freed = self._nvm_sets(allocator)
-        for block in range(first_block, first_block + block_count):
-            allocated.add(block)
-            self._retired.add(block)
+        allocated.add(first_block, first_block + block_count)
+        self._retired.add(first_block, first_block + block_count)
 
     # ------------------------------------------------------------------
     # Zeroing taint
@@ -258,8 +259,8 @@ class FrameSan:
         return {
             "dram_blocks_outstanding": sum(len(lg) for lg in self._dram.values()),
             "nvm_blocks_outstanding_since_arming": sum(
-                len(s) for s in self._nvm_allocated.values()
+                ledger.members for ledger in self._nvm_allocated.values()
             ),
             "tainted_frames": len(self._tainted),
-            "retired_frames": len(self._retired),
+            "retired_frames": self._retired.members,
         }

@@ -163,19 +163,33 @@ class TransSan:
     # ------------------------------------------------------------------
     # Frame-free coherence
     # ------------------------------------------------------------------
-    @complexity("n", note="one shadow check per freed frame")
+    @complexity("n", note="walks the freed range or the shadow, whichever is smaller")
     def check_frames_freed(self, first_frame: int, frame_count: int, origin: str) -> None:
-        """Frames are being freed: no live translation may reach them."""
-        for frame in range(first_frame, first_frame + frame_count):
-            count = self._refs.get(frame, 0)
-            if count:
-                self._report(
-                    "dangling-translation",
-                    f"{origin} freed frame {frame:#x} while {count} live "
-                    "translation(s) still point into it",
-                    {"pfn": frame, "translations": count, "origin": origin},
-                )
-                return
+        """Frames are being freed: no live translation may reach them.
+
+        Reports the lowest dangling frame.  A huge extent free walks the
+        (small) shadow instead of the range.
+        """
+        end = first_frame + frame_count
+        refs = self._refs
+        if frame_count <= len(refs):
+            dangling = next(
+                (frame for frame in range(first_frame, end) if refs.get(frame)),
+                None,
+            )
+        else:
+            dangling = min(
+                (frame for frame in refs if first_frame <= frame < end),
+                default=None,
+            )
+        if dangling is not None:
+            count = refs[dangling]
+            self._report(
+                "dangling-translation",
+                f"{origin} freed frame {dangling:#x} while {count} live "
+                "translation(s) still point into it",
+                {"pfn": dangling, "translations": count, "origin": origin},
+            )
 
     # ------------------------------------------------------------------
     # PBM aliasing
