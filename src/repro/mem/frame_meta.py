@@ -19,10 +19,16 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from repro.hw.clock import EventCounters, SimClock
 from repro.hw.costmodel import CostModel
+from repro.lint.decorators import allocfree, o1
 
 
 class PageFlags(enum.IntFlag):
-    """Frame status flags, mirroring Linux's 25-flag ``enum pageflags``."""
+    """Frame status flags, mirroring Linux's 25-flag ``enum pageflags``.
+
+    The catalogue of flag bits; :attr:`FrameMeta.flags` stores their
+    plain-int union, so per-frame flag tests on scan loops are int
+    arithmetic rather than ``enum`` operator calls.
+    """
 
     LOCKED = enum.auto()
     ERROR = enum.auto()
@@ -67,7 +73,8 @@ class FrameMeta:
     """
 
     pfn: int
-    flags: PageFlags = PageFlags(0)
+    #: Plain-int union of :class:`PageFlags` values.
+    flags: int = 0
     refcount: int = 0
     mapcount: int = 0
     #: Owning object (an inode or anon-region token) and page index in it.
@@ -81,15 +88,15 @@ class FrameMeta:
 
     def set_flag(self, flag: PageFlags) -> None:
         """Set ``flag`` on this frame."""
-        self.flags |= flag
+        self.flags |= flag.value
 
     def clear_flag(self, flag: PageFlags) -> None:
         """Clear ``flag`` on this frame."""
-        self.flags &= ~flag
+        self.flags &= ~flag.value
 
     def has_flag(self, flag: PageFlags) -> bool:
         """True if ``flag`` is set."""
-        return bool(self.flags & flag)
+        return bool(self.flags & flag.value)
 
 
 class FrameTable:
@@ -113,17 +120,40 @@ class FrameTable:
         self._counters = counters
         self._frames: Dict[int, FrameMeta] = {}
 
-    def _charge(self) -> None:
+    @o1(note="one clock add and one counter bump, whatever the count")
+    @allocfree(note="an int multiply, the clock add and the counter bump")
+    def charge(self, count: int = 1) -> None:
+        """Charge ``count`` metadata updates at once.
+
+        Exactly what ``count`` separate :meth:`touch` charges add to the
+        clock and the ``frame_meta_touch`` counter; scan loops pair it
+        with :meth:`meta` to pay per batch instead of per frame.
+        """
         if self._clock is not None and self._costs is not None:
-            self._clock.advance(self._costs.frame_meta_update_ns)
+            self._clock.advance(count * self._costs.frame_meta_update_ns)
         if self._counters is not None:
-            self._counters.bump("frame_meta_touch")
+            self._counters.bump("frame_meta_touch", count)
 
     def touch(self, pfn: int) -> FrameMeta:
         """Metadata for frame ``pfn``, charging one metadata update."""
         if pfn < 0:
             raise ValueError(f"pfn must be non-negative, got {pfn}")
-        self._charge()
+        self.charge()
+        meta = self._frames.get(pfn)
+        if meta is None:
+            meta = FrameMeta(pfn=pfn)
+            self._frames[pfn] = meta
+        return meta
+
+    @o1(note="one dict probe; a FrameMeta on a frame's first sight")
+    def meta(self, pfn: int) -> FrameMeta:
+        """Metadata for frame ``pfn``, created if new, *uncharged*.
+
+        The caller owes one :meth:`charge` per call; batching those is
+        only exact where nothing reads the clock in between.
+        """
+        if pfn < 0:
+            raise ValueError(f"pfn must be non-negative, got {pfn}")
         meta = self._frames.get(pfn)
         if meta is None:
             meta = FrameMeta(pfn=pfn)

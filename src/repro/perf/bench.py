@@ -318,6 +318,59 @@ def _prep_spawn_exit() -> Callable[[], object]:
     return cycle
 
 
+def _prep_qos_charge() -> Callable[[], object]:
+    kernel = _machine()
+    qos = kernel.arm_qos()
+    process = None
+    for i in range(8):  # limited tenants, each in its own cgroup
+        process = kernel.spawn(
+            f"t{i}", cgroup=qos.cgroup(f"t{i}", high=1024, max_frames=2048)
+        )
+    assert process is not None
+    qos.enter_pid(process.pid)
+    buddy = kernel.dram_buddy
+    # Held for good: its buddy is the frame the timed pair takes and
+    # returns, which stays on the order-0 list instead of merging.
+    buddy.alloc(0)
+
+    def charge_uncharge() -> object:
+        pfn = buddy.alloc(0)
+        buddy.free(pfn)
+        return pfn
+
+    return charge_uncharge
+
+
+def _prep_qos_reclaim_batch(round_budget: int) -> Callable[[], object]:
+    from repro.vm.reclaimd import ClockReclaimer
+
+    kernel = _machine(swap_pages=8192)
+    qos = kernel.arm_qos()
+    scan = 4 * qos.config.reclaim_batch
+    # Four limited tenants fault pages round-robin, so a quarter of every
+    # scan window is the reclaiming tenant's own: each batch examines
+    # the full scan cap and evicts one batch, and one round never runs
+    # the inactive list dry (no aging pass inside the timed region).
+    pages = scan * (round_budget + 1) // 4
+    tenants = []
+    for i in range(4):
+        cg = qos.cgroup(f"t{i}", high=4 * pages, max_frames=8 * pages)
+        process = kernel.spawn(f"t{i}", track_lru=True, cgroup=cg)
+        va = kernel.syscalls(process).mmap(pages * PAGE_SIZE)
+        tenants.append((cg, process, va))
+    for index in range(pages):
+        for _cg, process, va in tenants:
+            kernel.access(process, va + index * PAGE_SIZE, write=True)
+    # One rejecting pass clears every fault-time REFERENCED bit, then one
+    # more ages the list back to inactive in fault order.
+    sweep = ClockReclaimer(kernel.lru, kernel.frame_table, kernel.counters)
+    resident = kernel.lru.resident_count
+    sweep.reclaim(1, max_scan=resident, should_evict=lambda entry: False)
+    sweep.reclaim(1, max_scan=1, should_evict=lambda entry: False)
+    victim = tenants[0][0]
+    return lambda: qos.reclaim_batch(victim)
+
+
 #: The tier-1 registry: every hot operation the lint fitter also covers,
 #: measured on the wall clock.  Keep ``batch`` sized so one full round
 #: lands in roughly 1-10 ms on a developer machine.
@@ -357,6 +410,12 @@ TIER1_OPS: List[BenchOp] = [
             "single-extent range-translation map + unmap cycle"),
     BenchOp("kernel.spawn_exit", _prep_spawn_exit, 64,
             "process spawn (fresh page table + address space) + exit"),
+    BenchOp("qos.charge", _prep_qos_charge, 256,
+            "order-0 frame alloc + free under a limited tenant: the QoS "
+            "charge and uncharge hooks"),
+    BenchOp("qos.reclaim_batch", lambda: _prep_qos_reclaim_batch(8), 8,
+            "one memcg direct-reclaim batch over a four-tenant LRU: "
+            "128 pages scanned, 32 evicted"),
 ]
 
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional
 
-from repro.hw.clock import EventCounters, SimClock
-from repro.hw.costmodel import CostModel
+from repro.hw.clock import EventCounters
 from repro.lint import complexity
 from repro.mem.frame_meta import FrameTable, PageFlags
 
@@ -30,6 +29,10 @@ class _LruEntry:
     vaddr: int
 
 
+#: ``PageFlags.REFERENCED`` as the plain int ``FrameMeta.flags`` holds.
+_REFERENCED = PageFlags.REFERENCED.value
+
+
 class LruLists:
     """Active/inactive page lists shared by the reclaim algorithms."""
 
@@ -40,8 +43,17 @@ class LruLists:
         self._entries: Dict[int, _LruEntry] = {}
 
     def page_mapped(self, pfn: int, space: object, vaddr: int) -> None:
-        """Register a freshly mapped page (called from the fault path)."""
-        if pfn in self._entries:
+        """Register a freshly mapped page (called from the fault path).
+
+        A frame already on a list whose owner unmapped or exited may be
+        reused by another mapping: the entry is re-pointed at the new
+        owner in place, keeping its list position and label, so the page
+        stays reclaimable instead of being shadowed by a dead entry.
+        """
+        entry = self._entries.get(pfn)
+        if entry is not None:
+            entry.space = space
+            entry.vaddr = vaddr
             return
         entry = _LruEntry(pfn=pfn, space=space, vaddr=vaddr)
         self._entries[pfn] = entry
@@ -70,14 +82,16 @@ class LruLists:
         self._entries.pop(entry.pfn, None)
 
 
-class ClockReclaimer:
-    """Second-chance (clock) reclaim over the LRU lists.
+class _Scanner:
+    """Shared plumbing of the reclaimers: batched scan charges.
 
-    ``reclaim(n)`` scans the inactive list: referenced pages get a second
-    chance (promoted to active, flag cleared); unreferenced pages are
-    evicted via their address space.  When the inactive list runs dry the
-    active list is aged into it.  Every examined page is a charged
-    ``FrameTable.touch`` — the linear scan cost.
+    Every examined page costs one metadata update and one
+    ``reclaim_scanned`` bump.  The scan loops count examined pages in a
+    local and pay them with one :meth:`_charge_scanned` — the same clock
+    total and counters as a charge per page — immediately before each
+    ``evict_page`` call (the only call in a loop that can read the
+    clock, open a trace span or raise) and once on the way out, so every
+    eviction, span boundary and exception sees the clock it always did.
     """
 
     def __init__(
@@ -89,6 +103,23 @@ class ClockReclaimer:
         self._lru = lru
         self._frame_table = frame_table
         self._counters = counters
+
+    def _charge_scanned(self, count: int) -> None:
+        """Pay for ``count`` examined pages (no-op for zero)."""
+        if count:
+            self._counters.bump("reclaim_scanned", count)
+            self._frame_table.charge(count)
+
+
+class ClockReclaimer(_Scanner):
+    """Second-chance (clock) reclaim over the LRU lists.
+
+    ``reclaim(n)`` scans the inactive list: referenced pages get a second
+    chance (promoted to active, flag cleared); unreferenced pages are
+    evicted via their address space.  When the inactive list runs dry the
+    active list is aged into it.  Every examined page is a charged
+    metadata update — the linear scan cost.
+    """
 
     @complexity("n", note="the scan IS the cost; callers bound it via max_scan")
     def reclaim(
@@ -105,7 +136,9 @@ class ClockReclaimer:
         style few-passes-over-everything budget.  ``should_evict``
         filters candidates — pages it rejects keep their second chance
         on the active list (memcg-targeted reclaim skips other tenants'
-        frames without losing track of them).
+        frames without losing track of them).  It must be a pure
+        predicate on the entry: scan charges are batched across it, so
+        it would see the clock short of the pages examined before it.
         """
         tracer = self._counters.tracer
         if tracer is not None and tracer.enabled:
@@ -117,73 +150,89 @@ class ClockReclaimer:
             return reclaimed
         return self._reclaim(nr_pages, max_scan, should_evict)
 
-    @complexity("n", note="scan-budgeted clock hand; every touch is charged")
+    @complexity("n", note="scan-budgeted clock hand; every examined page is charged")
     def _reclaim(
         self,
         nr_pages: int,
         max_scan: Optional[int] = None,
         should_evict: Optional[Callable[[_LruEntry], bool]] = None,
     ) -> int:
+        lru = self._lru
+        active = lru.active
+        inactive = lru.inactive
+        meta_of = self._frame_table.meta
         reclaimed = 0
         # Bound total scanning at a few passes over everything, as kswapd
         # priorities do, so pressure with all-hot pages terminates.
         scan_budget = (
             max_scan
             if max_scan is not None
-            else 4 * max(1, self._lru.resident_count)
+            else 4 * max(1, lru.resident_count)
         )
-        while reclaimed < nr_pages and scan_budget > 0:
-            if not self._lru.inactive:
-                # o1: allow(flow-bounded) -- aging moves pages the scan then consumes; amortized into the declared n
-                if not self._age_active():
-                    break
-            entry = self._lru.inactive.popleft()
-            scan_budget -= 1
-            self._counters.bump("reclaim_scanned")
-            meta = self._frame_table.touch(entry.pfn)
-            if meta.has_flag(PageFlags.REFERENCED):
-                meta.clear_flag(PageFlags.REFERENCED)
-                meta.lru_list = "active"
-                self._lru.active.append(entry)
-                continue
-            if should_evict is not None and not should_evict(entry):
-                # Not this caller's page to take: protect it for now.
-                meta.lru_list = "active"
-                self._lru.active.append(entry)
-                continue
-            if entry.space.evict_page(entry.vaddr):
-                self._lru._drop(entry)
-                meta.lru_list = ""
-                reclaimed += 1
-                self._counters.bump("reclaim_evicted")
-            else:
-                # Pinned (e.g. a fork-shared COW window): keep it on the
-                # active list so it is revisited once unpinned, instead
-                # of silently falling off both lists.
-                meta.lru_list = "active"
-                self._lru.active.append(entry)
+        scanned = 0  # examined but not yet charged
+        try:
+            while reclaimed < nr_pages and scan_budget > 0:
+                if not inactive:
+                    # o1: allow(flow-bounded) -- aging moves pages the scan then consumes; amortized into the declared n
+                    aged = self._age_active()
+                    if not aged:
+                        break
+                    scanned += aged
+                entry = inactive.popleft()
+                scan_budget -= 1
+                scanned += 1
+                meta = meta_of(entry.pfn)
+                flags = meta.flags
+                if flags & _REFERENCED:
+                    meta.flags = flags ^ _REFERENCED
+                    meta.lru_list = "active"
+                    active.append(entry)
+                    continue
+                if should_evict is not None and not should_evict(entry):
+                    # Not this caller's page to take: protect it for now.
+                    meta.lru_list = "active"
+                    active.append(entry)
+                    continue
+                self._charge_scanned(scanned)
+                scanned = 0
+                if entry.space.evict_page(entry.vaddr):
+                    lru._drop(entry)
+                    meta.lru_list = ""
+                    reclaimed += 1
+                    self._counters.bump("reclaim_evicted")
+                else:
+                    # Pinned (e.g. a fork-shared COW window): keep it on
+                    # the active list so it is revisited once unpinned,
+                    # instead of silently falling off both lists.
+                    meta.lru_list = "active"
+                    active.append(entry)
+        finally:
+            self._charge_scanned(scanned)
         return reclaimed
 
-    @complexity("n", note="one pass over the active list; charged per touch")
-    def _age_active(self) -> bool:
-        """Move the active list to inactive (one aging pass)."""
-        if not self._lru.active:
-            return False
-        while self._lru.active:
-            entry = self._lru.active.popleft()
-            self._counters.bump("reclaim_scanned")
-            meta = self._frame_table.touch(entry.pfn)
-            meta.lru_list = "inactive"
-            self._lru.inactive.append(entry)
-        return True
+    @complexity("n", note="one relabelling pass over the active list")
+    def _age_active(self) -> int:
+        """Move the active list to inactive (one aging pass).
+
+        Returns how many pages were aged; the caller charges them, one
+        metadata update each, with its own scan batch.
+        """
+        active = self._lru.active
+        meta_of = self._frame_table.meta
+        for entry in active:
+            meta_of(entry.pfn).lru_list = "inactive"
+        aged = len(active)
+        self._lru.inactive.extend(active)
+        active.clear()
+        return aged
 
 
-class TwoQueueReclaimer:
+class TwoQueueReclaimer(_Scanner):
     """Simplified 2Q: FIFO trial queue (A1) plus a protected main queue (Am).
 
     New pages enter A1 and are evicted from it unless referenced, in which
     case they are promoted to Am; Am overflows back into A1's tail.  Like
-    clock, every examined page charges a metadata touch.
+    clock, every examined page charges a metadata update.
     """
 
     def __init__(
@@ -195,9 +244,7 @@ class TwoQueueReclaimer:
     ) -> None:
         if not 0.0 < protected_fraction < 1.0:
             raise ValueError("protected_fraction must be in (0, 1)")
-        self._lru = lru  # inactive = A1, active = Am
-        self._frame_table = frame_table
-        self._counters = counters
+        super().__init__(lru, frame_table, counters)  # inactive = A1, active = Am
         self._protected_fraction = protected_fraction
 
     def reclaim(self, nr_pages: int) -> int:
@@ -213,40 +260,48 @@ class TwoQueueReclaimer:
         return self._reclaim(nr_pages)
 
     def _reclaim(self, nr_pages: int) -> int:
+        lru = self._lru
+        active = lru.active
+        inactive = lru.inactive
+        meta_of = self._frame_table.meta
         reclaimed = 0
-        scan_budget = 4 * max(1, self._lru.resident_count)
-        max_protected = int(self._protected_fraction * self._lru.resident_count)
-        while reclaimed < nr_pages and scan_budget > 0:
-            if not self._lru.inactive:
-                if not self._lru.active:
-                    break
-                # Demote the Am head when A1 is empty.
-                entry = self._lru.active.popleft()
-                self._counters.bump("reclaim_scanned")
+        scan_budget = 4 * max(1, lru.resident_count)
+        max_protected = int(self._protected_fraction * lru.resident_count)
+        scanned = 0  # examined but not yet charged
+        try:
+            while reclaimed < nr_pages and scan_budget > 0:
+                if not inactive:
+                    if not active:
+                        break
+                    # Demote the Am head when A1 is empty.
+                    entry = active.popleft()
+                    scanned += 1
+                    scan_budget -= 1
+                    meta_of(entry.pfn).lru_list = "inactive"
+                    inactive.append(entry)
+                    continue
+                entry = inactive.popleft()
                 scan_budget -= 1
-                self._frame_table.touch(entry.pfn).lru_list = "inactive"
-                self._lru.inactive.append(entry)
-                continue
-            entry = self._lru.inactive.popleft()
-            scan_budget -= 1
-            self._counters.bump("reclaim_scanned")
-            meta = self._frame_table.touch(entry.pfn)
-            if (
-                meta.has_flag(PageFlags.REFERENCED)
-                and len(self._lru.active) < max_protected
-            ):
-                meta.clear_flag(PageFlags.REFERENCED)
-                meta.lru_list = "active"
-                self._lru.active.append(entry)
-                continue
-            if entry.space.evict_page(entry.vaddr):
-                self._lru._drop(entry)
-                meta.lru_list = ""
-                reclaimed += 1
-                self._counters.bump("reclaim_evicted")
-            else:
-                # Pinned page (fork-shared COW window): protect it rather
-                # than dropping it from both lists.
-                meta.lru_list = "active"
-                self._lru.active.append(entry)
+                scanned += 1
+                meta = meta_of(entry.pfn)
+                flags = meta.flags
+                if flags & _REFERENCED and len(active) < max_protected:
+                    meta.flags = flags ^ _REFERENCED
+                    meta.lru_list = "active"
+                    active.append(entry)
+                    continue
+                self._charge_scanned(scanned)
+                scanned = 0
+                if entry.space.evict_page(entry.vaddr):
+                    lru._drop(entry)
+                    meta.lru_list = ""
+                    reclaimed += 1
+                    self._counters.bump("reclaim_evicted")
+                else:
+                    # Pinned page (fork-shared COW window): protect it
+                    # rather than dropping it from both lists.
+                    meta.lru_list = "active"
+                    active.append(entry)
+        finally:
+            self._charge_scanned(scanned)
         return reclaimed

@@ -111,6 +111,36 @@ class TestTwoQueueReclaimer:
             )
 
 
+class TestLruFrameReuse:
+    def test_frame_reused_after_munmap_stays_reclaimable(self, machine):
+        # One tracked space unmaps its pages; a second tracked space then
+        # faults in frames the buddy allocator hands back.  Each reused
+        # frame's LRU entry must follow its new owner, or the new page
+        # hides behind a dead entry and can never be reclaimed.
+        kernel, a, sys_a = machine
+        b = kernel.spawn("b", track_lru=True)
+        sys_b = kernel.syscalls(b)
+        pages = 16
+        va_a = fault_in(kernel, a, sys_a, pages)
+        sys_a.munmap(va_a, pages * PAGE_SIZE)
+        va_b = fault_in(kernel, b, sys_b, pages)
+        b_pfns = {
+            b.space.page_table.lookup(va_b + i * PAGE_SIZE).pfn
+            for i in range(pages)
+        }
+        entries = list(kernel.lru.inactive) + list(kernel.lru.active)
+        owned = {e.pfn for e in entries if e.space is b.space}
+        assert owned == b_pfns
+        for entry in entries:
+            if entry.pfn in b_pfns:
+                assert entry.vaddr in range(
+                    va_b, va_b + pages * PAGE_SIZE, PAGE_SIZE
+                )
+        reclaimer = ClockReclaimer(kernel.lru, kernel.frame_table, kernel.counters)
+        assert reclaimer.reclaim(8) == 8
+        assert b.space.resident_pages() == pages - 8
+
+
 class TestSwapDevice:
     def test_write_read_roundtrip(self, machine):
         kernel, _, _ = machine
