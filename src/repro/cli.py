@@ -12,10 +12,9 @@ Installed as ``repro-o1`` (see pyproject.toml)::
     repro-o1 sanitize    # run a workload with shadow-state sanitizers armed
     repro-o1 ras         # seeded media-fault sweep: scrub, retire, migrate
     repro-o1 ras --sweep 10   # ... across workload seeds 0..9
-    repro-o1 lint        # O(1) conformance: AST cost-shape check
-    repro-o1 lint --fit  # ... plus the empirical complexity fitter
-    repro-o1 lint --interproc   # ... plus call-graph cost summaries
-    repro-o1 lint --interproc --dot callgraph.dot   # ... and the graph
+    repro-o1 lint        # O(1) conformance: every static pass, one parse
+    repro-o1 lint --fit  # ... plus the empirical fitter and allocfit
+    repro-o1 lint --dot callgraph.dot   # ... and the call graph
     repro-o1 bench       # tier-1 wall-clock microbenchmarks
     repro-o1 bench --quick --compare BENCH_tier1.json   # CI regression gate
     repro-o1 profile     # wall-clock profile of the demo workload
@@ -384,119 +383,56 @@ def _cmd_qos(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.lint.astcheck import lint_tree
-    from repro.lint.baseline import apply_baseline, load_baseline
+    from repro.lint.findings import DEFAULT_BASELINE
+    from repro.lint.flow import run_lint
     from repro.lint.report import build_report, render_text, write_json
-
-
-    from repro.lint.baseline import DEFAULT_BASELINE
 
     root = Path(args.root) if args.root else Path(__file__).parent
     if not root.is_dir():
         print(f"lint root {root} is not a directory", file=sys.stderr)
         return 2
-    result = lint_tree(root)
-    baseline_path = Path(args.baseline) if args.baseline else DEFAULT_BASELINE
-    baseline = load_baseline(baseline_path) if baseline_path.exists() else []
-    outcome = apply_baseline(result.violations, baseline)
+    # --op names either empirical registry's operations.
+    names = args.op or []
+    fit_ops: List[str] = []
+    alloc_ops: List[str] = []
+    if args.fit:
+        from repro.lint.allocfit import ALLOC_OPS, run_allocfit
+        from repro.lint.ops import HEAVY_SIZES, LIGHT_SIZES, OPERATIONS, fit_all
 
-    flow = None
-    flow_outcome = None
-    if args.interproc:
-        from repro.lint.flow import (
-            ALLOWABLE_RULES,
-            DEFAULT_FLOW_BASELINE,
-            run_flow,
-        )
-
-        flow = run_flow(root, intra_used=result.used_allows)
-        flow_baseline_path = (
-            Path(args.flow_baseline)
-            if args.flow_baseline
-            else DEFAULT_FLOW_BASELINE
-        )
-        flow_baseline = load_baseline(
-            flow_baseline_path, known_rules=ALLOWABLE_RULES
-        )
-        flow_outcome = apply_baseline(flow.findings, flow_baseline)
-        if args.dot is not None:
-            dot_path = Path(args.dot)
-            dot_path.parent.mkdir(parents=True, exist_ok=True)
-            dot_path.write_text(flow.graph.to_dot(), encoding="utf-8")
-            print(f"wrote call graph to {args.dot}")
-
-    alloc = None
-    alloc_outcome = None
-    allocfit_results = None
-    if args.alloc:
-        from repro.lint.alloc import (
-            DEFAULT_ALLOC_BASELINE,
-            load_alloc_baseline,
-            run_alloc,
-        )
-        from repro.lint.allocfit import run_allocfit
-
-        alloc = run_alloc(
-            root, graph=flow.graph if flow is not None else None
-        )
-        alloc_baseline_path = (
-            Path(args.alloc_baseline)
-            if args.alloc_baseline
-            else DEFAULT_ALLOC_BASELINE
-        )
-        alloc_baseline = (
-            load_alloc_baseline(alloc_baseline_path)
-            if alloc_baseline_path.exists()
-            else []
-        )
-        alloc_outcome = apply_baseline(alloc.findings, alloc_baseline)
-        allocfit_results = run_allocfit()
+        fit_ops = [n for n in names if n in {op.name for op in OPERATIONS}]
+        alloc_ops = [n for n in names if n in {op.name for op in ALLOC_OPS}]
+        unknown = sorted(set(names) - set(fit_ops) - set(alloc_ops))
+        if unknown:
+            print(f"unknown --op {unknown}", file=sys.stderr)
+            return 2
+    baseline = Path(args.baseline) if args.baseline else DEFAULT_BASELINE
+    run = run_lint(root, baseline=baseline)
+    if args.dot is not None:
+        dot_path = Path(args.dot)
+        dot_path.parent.mkdir(parents=True, exist_ok=True)
+        dot_path.write_text(run.graph.to_dot(), encoding="utf-8")
+        print(f"wrote call graph to {args.dot}")
 
     fits = None
     sizes = None
-    if args.fit:
-        from repro.lint.ops import HEAVY_SIZES, LIGHT_SIZES, fit_all
-
+    allocfit_results = None
+    if args.fit and (fit_ops or not names):
         sizes = HEAVY_SIZES if args.sizes == "heavy" else LIGHT_SIZES
-        fits = fit_all(sizes, names=args.op or None)
+        fits = fit_all(sizes, names=fit_ops)
+    if args.fit and (alloc_ops or not names):
+        allocfit_results = run_allocfit(alloc_ops)
 
-    print(render_text(
-        result, outcome, fits,
-        flow=flow, flow_outcome=flow_outcome,
-        alloc=alloc, alloc_outcome=alloc_outcome,
-        allocfit_results=allocfit_results,
-    ))
+    print(render_text(run, fits, allocfit_results=allocfit_results))
     if args.json is not None:
         report = build_report(
-            result, outcome, fits, sizes=sizes,
-            flow=flow, flow_outcome=flow_outcome,
-            alloc=alloc, alloc_outcome=alloc_outcome,
-            allocfit_results=allocfit_results,
+            run, fits, sizes=sizes, allocfit_results=allocfit_results
         )
         write_json(Path(args.json), report)
         print(f"wrote machine-readable report to {args.json}")
 
-    failed = bool(outcome.new) or bool(outcome.stale)
-    if flow_outcome is not None:
-        assert flow is not None
-        failed = (
-            failed
-            or bool(flow_outcome.new)
-            or bool(flow_outcome.stale)
-            or bool(flow.stale_suppressions)
-        )
-    if alloc_outcome is not None:
-        assert alloc is not None
-        failed = (
-            failed
-            or bool(alloc_outcome.new)
-            or bool(alloc_outcome.stale)
-            or bool(alloc.stale_suppressions)
-        )
-    if allocfit_results is not None:
-        failed = failed or any(not r.ok for r in allocfit_results)
-    if fits is not None:
-        failed = failed or any(not f.ok for f in fits)
+    failed = run.failed
+    failed = failed or any(not r.ok for r in allocfit_results or ())
+    failed = failed or any(not f.ok for f in fits or ())
     return 1 if failed else 0
 
 
@@ -702,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     qos.set_defaults(func=_cmd_qos)
     lint = sub.add_parser(
         "lint",
-        help="O(1) conformance: AST cost-shape linter + complexity fitter",
+        help="O(1) conformance: static cost/allocation analysis + fitters",
     )
     lint.add_argument(
         "--root", default=None,
@@ -710,12 +646,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--baseline", default=None,
-        help="baseline file of accepted violations "
+        help="baseline file of accepted findings "
              "(default: the checked-in repro/lint/o1_baseline.json)",
     )
     lint.add_argument(
         "--fit", action="store_true",
-        help="also run registered operations and fit cost vs size",
+        help="also run the empirical checks: fit cost vs size of the "
+             "registered operations, and the tracemalloc cross-check of "
+             "the allocation-certified ops",
     )
     lint.add_argument(
         "--sizes", choices=("light", "heavy"), default="light",
@@ -723,39 +661,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--op", action="append", metavar="NAME",
-        help="fit only this operation (repeatable)",
+        help="with --fit, run only this fit or allocfit operation "
+             "(repeatable)",
     )
     lint.add_argument(
         "--json", metavar="PATH", default=None,
         help="write the machine-readable lint_report.json here",
     )
     lint.add_argument(
-        "--interproc", action="store_true",
-        help="also run the interprocedural pass: call-graph cost "
-             "summaries, declaration coverage from hot-path entries, "
-             "must-call protocols, stale-suppression detection",
-    )
-    lint.add_argument(
-        "--flow-baseline", default=None,
-        help="baseline file for --interproc findings "
-             "(default: the checked-in repro/lint/flow_baseline.json)",
-    )
-    lint.add_argument(
         "--dot", metavar="PATH", default=None,
-        help="with --interproc, write the call graph in Graphviz DOT "
-             "format here",
-    )
-    lint.add_argument(
-        "--alloc", action="store_true",
-        help="also run AllocSan: allocation-shape analysis certifying "
-             "@allocfree/@allocbound declarations over the hot-path "
-             "closure, plus the tracemalloc empirical cross-check",
-    )
-    lint.add_argument(
-        "--alloc-baseline", default=None,
-        help="baseline file for --alloc findings "
-             "(default: the checked-in repro/lint/alloc_baseline.json; "
-             "hot-closure findings can never be baselined)",
+        help="write the call graph in Graphviz DOT format here",
     )
     lint.set_defaults(func=_cmd_lint)
     bench = sub.add_parser(

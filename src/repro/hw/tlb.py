@@ -13,7 +13,7 @@ by the CPU front-end (:mod:`repro.hw.cpu`) using the shared cost model.
 Every set of every array is preallocated at construction and tags are
 packed into a single int key (``vpn << 16 | asid``), so the lookup and
 invalidate paths construct no Python objects per probe — the property
-AllocSan certifies and ``lint --alloc`` cross-checks empirically.
+AllocSan certifies and ``lint --fit`` cross-checks empirically.
 """
 
 from __future__ import annotations

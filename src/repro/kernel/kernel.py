@@ -285,7 +285,11 @@ class Kernel:
         return self._fork_cow(parent)
 
     def _fork_begin(self, parent: Process):
-        child = self.spawn(f"{parent.name}-child")
+        # A tracked parent's children are tracked too: their faults and
+        # COW copies must be reclaimable like the parent's.
+        child = self.spawn(
+            f"{parent.name}-child", track_lru=parent.space.lru is not None
+        )
         qos = self.counters.qos
         if qos is not None:
             # Children inherit the parent's cgroup, like clone(2).

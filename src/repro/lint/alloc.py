@@ -1,15 +1,15 @@
 """AllocSan: static allocation-shape analysis over the call graph.
 
-The fourth conformance prong.  ``@o1`` bounds how *simulated* cost
-scales; this pass bounds what a call *allocates on the real heap*.  A
+``@o1`` bounds how *simulated* cost scales; this pass bounds what a
+call *allocates on the real heap*.  A
 function's Python source is classified into allocation shapes — list /
 dict / set / tuple displays, comprehensions, generator expressions,
 nested ``def`` / ``lambda`` (closure objects), f-strings and string
 concatenation, slicing, ``*args`` / ``**kwargs`` call sites,
 materializing builtins (``sorted``, ``zip``, ``list``, ``.items()``,
 ``.to_bytes()``, ...), and resolved in-package constructor calls — and
-the shapes propagate bottom-up over the same SCC condensation the cost
-pass uses, into the lattice
+the shapes propagate through the same engine the cost pass uses
+(:mod:`repro.lint.engine`), into the lattice
 
     NONE < BOUNDED < PER_ELEMENT < UNBOUNDED
 
@@ -35,8 +35,9 @@ Deliberate blind spots, by policy: CPython arithmetic boxing (every
 ``a + b`` on large ints allocates; unfixable at this layer) and
 attribute-call allocation outside the curated builtin list.  The
 empirical cross-check (:mod:`repro.lint.allocfit`) covers the gap: it
-re-runs the certified ops under ``tracemalloc`` and fails on net
-steady-state growth, so a static certificate cannot quietly lie.
+re-runs the certified ops under ``tracemalloc`` (``lint --fit``) and
+fails on net steady-state growth, so a static certificate cannot quietly
+lie.
 
 Suppression syntax is ``# alloc: allow`` plus the parenthesized rule —
 a separate namespace from ``# o1: allow`` so one pass's suppressions
@@ -52,25 +53,26 @@ automatically: error paths are terminal, not steady state.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from enum import IntEnum
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-from repro.lint.astcheck import (
-    ALLOC_ALLOW_RE,
-    AllowMap,
-    _is_constant_bounded,
-)
-from repro.lint.baseline import BaselineEntry, load_baseline
+from repro.lint.astcheck import _is_constant_bounded
 from repro.lint.callgraph import (
     CallGraph,
     CallSite,
     FunctionNode,
-    build_callgraph,
     resolve_class_name,
 )
-from repro.lint.summaries import Hop, Witness, _BOUND_RULES, strongly_connected
+from repro.lint.engine import (
+    Lattice,
+    LatticeValue,
+    SummaryTable,
+    Witness,
+    coverage_findings,
+    declared_findings,
+)
+from repro.lint.findings import AllowMap, Section, split_controls
+from repro.lint.summaries import _BOUND_RULES
 
 RULE_ALLOC_EXCEEDS = "alloc-exceeds-declared"
 RULE_ALLOC_HOT = "alloc-undeclared-hot"
@@ -79,32 +81,7 @@ RULE_ALLOC_CONTROL_MISSING = "alloc-control-missing"
 #: path) — excluded from the caller's summary and the hot-closure walk.
 RULE_COLD_CALL = "cold-call"
 
-#: Shape kinds; each doubles as an ``# alloc: allow`` rule name.
-SHAPE_KINDS = (
-    "list-display",
-    "dict-display",
-    "set-display",
-    "tuple-display",
-    "comprehension",
-    "genexp",
-    "closure",
-    "fstring",
-    "str-concat",
-    "slice",
-    "star-args",
-    "boxing-call",
-    "ctor",
-)
-
 ALLOC_RULES = (RULE_ALLOC_EXCEEDS, RULE_ALLOC_HOT, RULE_ALLOC_CONTROL_MISSING)
-
-#: Every rule an ``# alloc: allow`` comment may legitimately name.
-ALLOC_ALLOWABLE_RULES = (*SHAPE_KINDS, RULE_COLD_CALL, *ALLOC_RULES)
-
-#: Ships empty for the hot closure by construction: only
-#: ``alloc-exceeds-declared`` may be ratcheted here, never
-#: ``alloc-undeclared-hot``.
-DEFAULT_ALLOC_BASELINE = Path(__file__).with_name("alloc_baseline.json")
 
 #: Planted controls the pass must flag on every run (function, rule).
 ALLOC_CONTROLS: Tuple[Tuple[str, str], ...] = (
@@ -205,7 +182,7 @@ _BOXING_ATTRS = frozenset(
 )
 
 
-class AllocClass(IntEnum):
+class AllocClass(LatticeValue):
     """Per-call allocation lattice; comparison is growth order."""
 
     NONE = 0
@@ -217,6 +194,13 @@ class AllocClass(IntEnum):
     def label(self) -> str:
         return _ALLOC_LABEL[self]
 
+    def scale(self, depth: int) -> "AllocClass":
+        if self is AllocClass.NONE or depth == 0:
+            return self
+        if depth == 1 and self is AllocClass.BOUNDED:
+            return AllocClass.PER_ELEMENT
+        return AllocClass.UNBOUNDED
+
 
 _ALLOC_LABEL = {
     AllocClass.NONE: "allocation-free",
@@ -224,17 +208,6 @@ _ALLOC_LABEL = {
     AllocClass.PER_ELEMENT: "per-element allocation",
     AllocClass.UNBOUNDED: "unbounded allocation",
 }
-
-
-def _scale(klass: AllocClass, depth: int) -> AllocClass:
-    """Allocation of ``depth`` nested unbounded loops around ``klass``."""
-    if klass is AllocClass.NONE or depth == 0:
-        return klass
-    if depth == 1:
-        if klass is AllocClass.BOUNDED:
-            return AllocClass.PER_ELEMENT
-        return AllocClass.UNBOUNDED
-    return AllocClass.UNBOUNDED
 
 
 def alloc_declared_bound(func: FunctionNode) -> Optional[int]:
@@ -282,8 +255,10 @@ class AllocShape:
 @dataclass
 class _AllocShapeSet:
     shapes: List[AllocShape]
-    call_depth: Dict[int, int]  # id(ast.Call) -> enclosing unbounded loops
-    cold_calls: Set[int]  # id(ast.Call) inside except handlers
+    #: id(ast.Call) -> enclosing unbounded loops, for per-call sites only:
+    #: calls in ``raise`` / ``except`` bodies (cold) and definition-time
+    #: calls (decorators, defaults) are absent.
+    call_depth: Dict[int, int]
 
 
 def _render(node: ast.AST, limit: int = 48) -> str:
@@ -303,7 +278,7 @@ class _Classifier:
         self.func = func
         self.allowed = allowed
         self.info = graph.modules.get(func.module)
-        self.out = _AllocShapeSet(shapes=[], call_depth={}, cold_calls=set())
+        self.out = _AllocShapeSet(shapes=[], call_depth={})
 
     def run(self) -> _AllocShapeSet:
         for stmt in self.func.node.body:
@@ -317,7 +292,7 @@ class _Classifier:
         line = getattr(node, "lineno", self.func.lineno)
         if self.allowed.allow((line, line - 1), kind):
             return
-        scaled = _scale(klass, depth)
+        scaled = klass.scale(depth)
         if depth and scaled is not klass:
             detail += " inside an unbounded loop"
         self.out.shapes.append(
@@ -334,9 +309,7 @@ class _Classifier:
         """
         if _is_constant_bounded(loop):  # type: ignore[arg-type]
             return True
-        o1_map = self.graph.allow_maps.get(self.func.path)
-        if o1_map is None:
-            return False
+        o1_map = self.graph.allows["o1"][self.func.path]
         lineno = getattr(loop, "lineno", self.func.lineno)
         lines = (lineno, lineno - 1, self.func.lineno)
         return any(o1_map.match(lines, rule) is not None for rule in _BOUND_RULES)
@@ -401,17 +374,12 @@ class _Classifier:
     # -- walk ----------------------------------------------------------
     def _visit_fstring_calls(self, node: ast.AST, depth: int, cold: bool) -> None:
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Call):
-                if cold:
-                    self.out.cold_calls.add(id(sub))
-                else:
-                    self.out.call_depth[id(sub)] = depth
+            if isinstance(sub, ast.Call) and not cold:
+                self.out.call_depth[id(sub)] = depth
 
     def _visit(self, node: ast.AST, depth: int, cold: bool) -> None:
         if isinstance(node, (ast.Raise, ast.Assert)):
-            # Terminal error paths; still register calls so the graph
-            # edges they carry are treated as cold, not missing.
-            self._visit_fstring_calls(node, depth, cold=True)
+            # Terminal error paths: the calls they carry are cold.
             return
         if isinstance(node, ast.ExceptHandler):
             for child in node.body:
@@ -430,9 +398,7 @@ class _Classifier:
             # the closure does, which this pass does not model.
             return
         if isinstance(node, ast.Call):
-            if cold:
-                self.out.cold_calls.add(id(node))
-            else:
+            if not cold:
                 self.out.call_depth[id(node)] = depth
                 self._classify_call(node, depth)
             for child in ast.iter_child_nodes(node):
@@ -549,304 +515,45 @@ class _Classifier:
 
 
 # ---------------------------------------------------------------------------
-# Interprocedural propagation
+# The lattice instance and the checks
 # ---------------------------------------------------------------------------
-@dataclass
-class AllocSummary:
-    """Computed allocation class of one function (own declaration aside)."""
+class AllocLattice(Lattice):
+    """Heap allocation, cut at ``@allocfree`` / ``@allocbound``."""
 
-    fid: str
-    klass: AllocClass
-    witness: Optional[Witness] = None
+    namespace = "alloc"
+    excuse_rule = RULE_COLD_CALL
+    cycle_note = "cycle of alloc-undeclared functions"
+    bottom = AllocClass.NONE
+    top = AllocClass.UNBOUNDED
 
-
-@dataclass
-class _ColdSite:
-    """A call site excused by ``cold-call``; usage judged after the fact."""
-
-    caller: str
-    site: CallSite
-    allow_line: int
-
-
-class AllocTable:
-    """Allocation summaries plus the edge sets findings are built from."""
-
-    def __init__(
-        self, graph: CallGraph, allow_maps: Dict[str, AllowMap]
-    ) -> None:
-        self.graph = graph
-        self.allow_maps = allow_maps
+    def __init__(self, graph: CallGraph) -> None:
         self.declared: Dict[str, int] = {}
         self.shapes: Dict[str, _AllocShapeSet] = {}
-        self.summaries: Dict[str, AllocSummary] = {}
-        #: Non-cold resolved edges including through declared callees,
-        #: for the hot-closure walk: fid -> [(target, line)].
-        self.hot_edges: Dict[str, List[Tuple[str, int]]] = {}
-        self._cold_sites: List[_ColdSite] = []
-        self._scc_of: Dict[str, int] = {}
-        self._compute()
-
-    def allow_map_for(self, func: FunctionNode) -> AllowMap:
-        return self.allow_maps.setdefault(func.path, AllowMap(""))
-
-    def _site_cold_line(
-        self, func: FunctionNode, site: CallSite
-    ) -> Optional[int]:
-        allowed = self.allow_map_for(func)
-        return allowed.match((site.line, site.line - 1), RULE_COLD_CALL)
-
-    def _compute(self) -> None:
-        graph = self.graph
         for fid, func in graph.functions.items():
             bound = alloc_declared_bound(func)
             if bound is not None:
                 self.declared[fid] = bound
-            self.shapes[fid] = _Classifier(
-                graph, func, self.allow_map_for(func)
-            ).run()
-        edges: Dict[str, List[str]] = {}
-        for fid, func in graph.functions.items():
-            out: List[str] = []
-            hot_out: List[Tuple[str, int]] = []
-            shape = self.shapes[fid]
-            for site in graph.calls.get(fid, ()):
-                if id(site.node) in shape.cold_calls:
-                    continue
-                if id(site.node) not in shape.call_depth:
-                    # Decorator, annotation or default-arg call: runs
-                    # at import/definition time, not per invocation.
-                    continue
-                cold_line = self._site_cold_line(func, site)
-                if cold_line is not None:
-                    self._cold_sites.append(
-                        _ColdSite(caller=fid, site=site, allow_line=cold_line)
-                    )
-                    continue
-                for target in site.targets:
-                    if target not in graph.functions:
-                        continue
-                    hot_out.append((target, site.line))
-                    if target not in self.declared:
-                        out.append(target)
-            edges[fid] = out
-            self.hot_edges[fid] = hot_out
-        components = strongly_connected(list(graph.functions), edges)
-        for number, component in enumerate(components):
-            for member in component:
-                self._scc_of[member] = number
-        for component in components:
-            cyclic = len(component) > 1 or (
-                component[0] in edges.get(component[0], ())
-            )
-            if cyclic:
-                for member in component:
-                    self.summaries[member] = self._recursive_summary(
-                        member, set(component)
-                    )
-                continue
-            fid = component[0]
-            self.summaries[fid] = self._combine(fid)
-        for cold in self._cold_sites:
-            if self._cold_site_was_needed(cold):
-                self.allow_map_for(
-                    self.graph.functions[cold.caller]
-                ).mark_used(cold.allow_line)
+            allowed = graph.allows["alloc"][func.path]
+            self.shapes[fid] = _Classifier(graph, func, allowed).run()
 
-    def _recursive_summary(self, fid: str, component: Set[str]) -> AllocSummary:
-        witness: Optional[Witness] = None
-        for site in self.graph.calls.get(fid, ()):
-            for target in site.targets:
-                if target in component:
-                    witness = Witness(
-                        kind="recursion",
-                        line=site.line,
-                        detail=(
-                            f"recursive call {site.raw} "
-                            "(cycle of alloc-undeclared functions)"
-                        ),
-                    )
-                    break
-            if witness is not None:
-                break
-        return AllocSummary(fid=fid, klass=AllocClass.UNBOUNDED, witness=witness)
-
-    def effective_alloc(self, fid: str) -> AllocClass:
-        """What a call to ``fid`` contributes: declared cut or summary."""
+    def cut(self, fid: str) -> Optional[AllocClass]:
         bound = self.declared.get(fid)
-        if bound is not None:
-            return AllocClass.NONE if bound == 0 else AllocClass.BOUNDED
-        summary = self.summaries.get(fid)
-        return summary.klass if summary is not None else AllocClass.NONE
+        if bound is None:
+            return None
+        return AllocClass.NONE if bound == 0 else AllocClass.BOUNDED
 
-    def _combine(self, fid: str) -> AllocSummary:
-        shape = self.shapes[fid]
-        candidates: List[Tuple[AllocClass, int, Witness]] = []
-        for item in shape.shapes:
-            candidates.append(
-                (
-                    item.klass,
-                    item.line,
-                    Witness(kind="shape", line=item.line, detail=item.detail),
-                )
-            )
-        for site in self.graph.calls.get(fid, ()):
-            if id(site.node) not in shape.call_depth:
-                continue  # cold, decorator, or definition-time call
-            if any(
-                cold.caller == fid and id(cold.site.node) == id(site.node)
-                for cold in self._cold_sites
-            ):
-                continue
-            depth = shape.call_depth[id(site.node)]
-            for target in site.targets:
-                raw = self.effective_alloc(target)
-                klass = _scale(raw, depth)
-                if klass is AllocClass.NONE:
-                    continue
-                label = raw.label
-                bound = self.declared.get(target)
-                if bound is not None:
-                    label = (
-                        "declared @allocfree"
-                        if bound == 0
-                        else f"declared @allocbound({bound})"
-                    )
-                detail = f"calls {site.raw} [{label}]"
-                if depth:
-                    detail += " inside an unbounded loop"
-                candidates.append(
-                    (
-                        klass,
-                        site.line,
-                        Witness(
-                            kind="call",
-                            line=site.line,
-                            detail=detail,
-                            callee=target,
-                        ),
-                    )
-                )
-        best = AllocClass.NONE
-        best_witness: Optional[Witness] = None
-        for klass, _line, witness in sorted(
-            candidates, key=lambda item: (-item[0], item[1])
-        ):
-            best = klass
-            best_witness = witness
-            break
-        return AllocSummary(fid=fid, klass=best, witness=best_witness)
+    def cut_label(self, fid: str) -> str:
+        bound = self.declared[fid]
+        return "@allocfree" if bound == 0 else f"@allocbound({bound})"
 
-    def _cold_site_was_needed(self, cold: _ColdSite) -> bool:
-        """A cold-call allow is *used* iff it changed anything."""
-        caller_scc = self._scc_of.get(cold.caller)
-        for target in cold.site.targets:
-            if self.effective_alloc(target) > AllocClass.NONE:
-                return True
-            if (
-                self._scc_of.get(target) is not None
-                and self._scc_of.get(target) == caller_scc
-            ):
-                return True
-        return False
+    def own(self, fid: str) -> List[Tuple[LatticeValue, Witness]]:
+        return [
+            (item.klass, Witness("shape", item.line, item.detail))
+            for item in self.shapes[fid].shapes
+        ]
 
-    # -- diagnostics ---------------------------------------------------
-    def witness_chain(self, fid: str, limit: int = 12) -> List[Hop]:
-        """Follow worst-allocation witnesses down from ``fid``."""
-        hops: List[Hop] = []
-        current: Optional[str] = fid
-        while current is not None and len(hops) < limit:
-            node = self.graph.functions[current]
-            summary = self.summaries[current]
-            witness = summary.witness
-            if witness is None:
-                hops.append(
-                    Hop(
-                        fid=current,
-                        path=node.path,
-                        line=node.lineno,
-                        note=f"[{summary.klass.label}]",
-                    )
-                )
-                break
-            hops.append(
-                Hop(
-                    fid=current,
-                    path=node.path,
-                    line=witness.line,
-                    note=witness.detail,
-                )
-            )
-            if witness.kind != "call" or witness.callee is None:
-                break
-            if witness.callee in self.declared:
-                break
-            current = witness.callee
-        return hops
-
-
-# ---------------------------------------------------------------------------
-# Findings
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class AllocFinding:
-    """One AllocSan finding, addressable by (function, rule)."""
-
-    path: str
-    line: int
-    module: str
-    qualname: str
-    rule: str
-    message: str
-    chain: Tuple[Hop, ...] = ()
-
-    @property
-    def function(self) -> str:
-        """Dotted name used by baseline entries."""
-        return f"{self.module}.{self.qualname}"
-
-    def format(self) -> str:
-        head = (
-            f"{self.path}:{self.line}: [{self.rule}] "
-            f"{self.function}: {self.message}"
-        )
-        if not self.chain:
-            return head
-        steps = "\n".join(f"      {hop.format()}" for hop in self.chain)
-        return f"{head}\n{steps}"
-
-
-@dataclass(frozen=True)
-class AllocStaleSuppression:
-    """An ``# alloc: allow`` comment that suppressed nothing."""
-
-    path: str
-    line: int
-    rules: Tuple[str, ...]
-
-    def format(self) -> str:
-        listed = ", ".join(self.rules)
-        return (
-            f"{self.path}:{self.line}: stale suppression "
-            f"# alloc: allow({listed})"
-        )
-
-
-@dataclass
-class AllocResult:
-    """Everything ``lint --alloc`` reports."""
-
-    findings: List[AllocFinding]
-    controls_verified: List[AllocFinding]
-    stale_suppressions: List[AllocStaleSuppression]
-    entries: List[str]
-    hot_reachable: int
-    declared_allocfree: int
-    declared_allocbound: int
-    files: int
-    functions: int
-    graph: CallGraph = field(repr=False)
-    table: AllocTable = field(repr=False)
+    def depth(self, fid: str, site: CallSite) -> Optional[int]:
+        return self.shapes[fid].call_depth.get(id(site.node))
 
 
 def hot_entry_points(graph: CallGraph) -> List[str]:
@@ -860,216 +567,36 @@ def hot_entry_points(graph: CallGraph) -> List[str]:
     return entries
 
 
-def _declared_findings(table: AllocTable) -> List[AllocFinding]:
-    graph = table.graph
-    findings: List[AllocFinding] = []
-    for fid in sorted(table.declared):
-        func = graph.functions[fid]
-        bound = table.declared[fid]
-        permitted = AllocClass.NONE if bound == 0 else AllocClass.BOUNDED
-        summary = table.summaries[fid]
-        if summary.klass <= permitted:
-            continue
-        allowed = table.allow_map_for(func)
-        if allowed.allow((func.lineno,), RULE_ALLOC_EXCEEDS):
-            continue
-        chain = tuple(table.witness_chain(fid))
-        line = chain[0].line if chain else func.lineno
-        decorator = "@allocfree" if bound == 0 else f"@allocbound({bound})"
-        findings.append(
-            AllocFinding(
-                path=func.path,
-                line=line,
-                module=func.module,
-                qualname=func.qualname,
-                rule=RULE_ALLOC_EXCEEDS,
-                message=(
-                    f"declared {decorator} but the call graph reaches "
-                    f"{summary.klass.label}"
-                ),
-                chain=chain,
-            )
-        )
-    return findings
-
-
-def _hot_findings(
-    table: AllocTable, entries: Sequence[str]
-) -> Tuple[List[AllocFinding], int]:
-    graph = table.graph
-    parent: Dict[str, Tuple[Optional[str], int]] = {}
-    order: List[str] = []
-    for entry in entries:
-        if entry in parent:
-            continue
-        parent[entry] = (None, graph.functions[entry].lineno)
-        queue = [entry]
-        while queue:
-            current = queue.pop(0)
-            order.append(current)
-            for target, line in table.hot_edges.get(current, ()):
-                if target in parent:
-                    continue
-                parent[target] = (current, line)
-                queue.append(target)
-    findings: List[AllocFinding] = []
-    for fid in order:
-        if fid in table.declared:
-            continue
-        summary = table.summaries[fid]
-        if summary.klass is AllocClass.NONE:
-            continue
-        func = graph.functions[fid]
-        allowed = table.allow_map_for(func)
-        if allowed.allow((func.lineno,), RULE_ALLOC_HOT):
-            continue
-        hops: List[Hop] = []
-        cursor: Optional[str] = fid
-        while cursor is not None:
-            origin, line = parent[cursor]
-            hops.append(
-                Hop(
-                    fid=cursor,
-                    path=graph.functions[cursor].path,
-                    line=line,
-                    note="" if origin is None else "called from here",
-                )
-            )
-            cursor = origin
-        hops.reverse()
-        if summary.witness is not None:
-            hops.append(
-                Hop(
-                    fid=fid,
-                    path=func.path,
-                    line=summary.witness.line,
-                    note=summary.witness.detail,
-                )
-            )
-        findings.append(
-            AllocFinding(
-                path=func.path,
-                line=func.lineno,
-                module=func.module,
-                qualname=func.qualname,
-                rule=RULE_ALLOC_HOT,
-                message=(
-                    f"reachable from hot access entry {hops[0].fid} with "
-                    f"{summary.klass.label} but no @allocfree/@allocbound "
-                    "declaration"
-                ),
-                chain=tuple(hops[:12]),
-            )
-        )
-    return findings, len(order)
-
-
-def _split_controls(
-    findings: List[AllocFinding],
-) -> Tuple[List[AllocFinding], List[AllocFinding]]:
-    control_keys = set(ALLOC_CONTROLS)
-    real: List[AllocFinding] = []
-    verified: List[AllocFinding] = []
-    for finding in findings:
-        if (finding.function, finding.rule) in control_keys:
-            verified.append(finding)
-        else:
-            real.append(finding)
-    fired = {(f.function, f.rule) for f in verified}
-    for function, rule in ALLOC_CONTROLS:
-        if (function, rule) in fired:
-            continue
-        module, _, qualname = function.rpartition(".")
-        real.append(
-            AllocFinding(
-                path="<alloc>",
-                line=0,
-                module=module,
-                qualname=qualname,
-                rule=RULE_ALLOC_CONTROL_MISSING,
-                message=(
-                    f"planted control was not flagged for {rule}; AllocSan "
-                    "is not detecting what it is built to detect"
-                ),
-            )
-        )
-    return real, verified
-
-
-def _stale_suppressions(
-    allow_maps: Dict[str, AllowMap]
-) -> List[AllocStaleSuppression]:
-    stale: List[AllocStaleSuppression] = []
-    for path in sorted(allow_maps):
-        allow_map = allow_maps[path]
-        for line in sorted(allow_map.comment_lines):
-            if line in allow_map.used:
-                continue
-            stale.append(
-                AllocStaleSuppression(
-                    path=path,
-                    line=line,
-                    rules=tuple(sorted(allow_map.comment_lines[line])),
-                )
-            )
-    return stale
-
-
-# ---------------------------------------------------------------------------
-# Baseline
-# ---------------------------------------------------------------------------
-def load_alloc_baseline(path: Path) -> List[BaselineEntry]:
-    """Load an alloc baseline; hot-closure findings can never ratchet."""
-    entries = load_baseline(path, known_rules=ALLOC_RULES)
-    for entry in entries:
-        if entry.rule != RULE_ALLOC_EXCEEDS:
-            raise ValueError(
-                f"{path}: {entry.rule} findings cannot be baselined — the "
-                "hot-closure gate ships empty and stays empty"
-            )
-    return entries
-
-
-# ---------------------------------------------------------------------------
-# Driver
-# ---------------------------------------------------------------------------
-def run_alloc(
-    root: Path,
-    package: str = "repro",
-    graph: Optional[CallGraph] = None,
-) -> AllocResult:
-    """Run AllocSan over the package at ``root``.
-
-    Pass ``graph`` to share the call graph with a flow run in the same
-    invocation instead of parsing the tree twice.
-    """
-    if graph is None:
-        graph = build_callgraph(root, package)
-    allow_maps: Dict[str, AllowMap] = {}
-    for info in graph.modules.values():
-        try:
-            source = Path(info.path).read_text(encoding="utf-8")
-        except OSError:  # pragma: no cover
-            source = ""
-        allow_maps[info.path] = AllowMap(source, pattern=ALLOC_ALLOW_RE)
-    table = AllocTable(graph, allow_maps)
+def alloc_section(graph: CallGraph) -> Section:
+    """AllocSan over ``graph``: declared-bound and hot-closure findings."""
+    lattice = AllocLattice(graph)
+    table = SummaryTable(graph, lattice)
     entries = hot_entry_points(graph)
-    declared_free = sum(1 for b in table.declared.values() if b == 0)
-    hot_findings, hot_reachable = _hot_findings(table, entries)
-    findings = _declared_findings(table) + hot_findings
-    findings, verified = _split_controls(findings)
-    findings.sort(key=lambda f: (f.path, f.line, f.rule, f.function))
-    stale = _stale_suppressions(allow_maps)
-    return AllocResult(
+    hot, reachable = coverage_findings(
+        table,
+        entries,
+        lambda fid: table.live_edges.get(fid, ()),
+        RULE_ALLOC_HOT,
+        "reachable from hot access entry {entry} with {label} but no "
+        "@allocfree/@allocbound declaration",
+    )
+    findings, verified = split_controls(
+        declared_findings(table, RULE_ALLOC_EXCEEDS) + hot,
+        ALLOC_CONTROLS,
+        RULE_ALLOC_CONTROL_MISSING,
+        "AllocSan",
+    )
+    free = sum(1 for bound in lattice.declared.values() if bound == 0)
+    return Section(
+        name="alloc",
+        rules=ALLOC_RULES,
         findings=findings,
-        controls_verified=verified,
-        stale_suppressions=stale,
+        stats={
+            "hot_reachable": reachable,
+            "declared_allocfree": free,
+            "declared_allocbound": len(lattice.declared) - free,
+        },
         entries=entries,
-        hot_reachable=hot_reachable,
-        declared_allocfree=declared_free,
-        declared_allocbound=len(table.declared) - declared_free,
-        files=graph.files_parsed,
-        functions=len(graph.functions),
-        graph=graph,
-        table=table,
+        controls=ALLOC_CONTROLS,
+        controls_verified=verified,
     )

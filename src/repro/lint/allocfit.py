@@ -223,7 +223,7 @@ def _prep_control_retaining() -> Callable[[], object]:
     return step
 
 
-#: The registry ``lint --alloc`` cross-checks.  Warmups are sized to a
+#: The registry ``lint --fit`` cross-checks.  Warmups are sized to a
 #: full working-set cycle (the miss op touches 4096 pages; everything
 #: it will ever install must be installed before measurement).
 ALLOC_OPS: List[AllocOp] = [

@@ -1,8 +1,9 @@
 """AST cost-shape linter: declared complexity vs. the shape of the code.
 
-The linter parses every module under a package root, finds functions
-decorated ``@o1`` / ``@complexity("...")`` (matched syntactically, so the
-checked code is never imported), and flags constructs that contradict the
+The linter reads every module of the parsed package (the call graph's
+single parse, :mod:`repro.lint.callgraph`), finds functions decorated
+``@o1`` / ``@complexity("...")`` (matched syntactically, so the checked
+code is never imported), and flags constructs that contradict the
 declared class:
 
 ========================  ==================================================
@@ -16,57 +17,37 @@ declared class:
 ``o1-recursion``          self-recursion in a declared-O(1)/O(log n) function
 ``o1-nested-size-loop``   nested size-dependent loops in a declared-linear
                           function
-``persist-outside-txn``   a journaled-write apply (``_apply_alloc`` /
-                          ``_apply_shrink`` / ``_apply_free`` /
-                          ``_apply_migrate``) in a function
-                          that never issued ``_journal_commit`` first — the
-                          static half of PersistSan's ordering check; applies
-                          to *every* function, declared or not
 ========================  ==================================================
 
 Loops the AST can prove constant-bounded (``range(4)``, iteration over a
 literal tuple) never flag.  Everything else is a heuristic with two escape
 hatches: an inline ``# o1: allow(rule) -- reason`` comment on the flagged
 line, the line above it, or the ``def`` line, and the checked-in baseline
-file
-(:mod:`repro.lint.baseline`) for known-O(n)-by-design legacy paths.
+file (:mod:`repro.lint.findings`) for known-O(n)-by-design legacy paths.
 """
 
 from __future__ import annotations
 
 import ast
-import io
 import re
-import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.lint.decorators import ComplexityClass
+from repro.lint.findings import AllowMap, Finding, allow_maps_for
 
 RULE_SIZE_LOOP = "o1-size-loop"
 RULE_CHARGE_IN_LOOP = "o1-charge-in-loop"
 RULE_RECURSION = "o1-recursion"
 RULE_NESTED_SIZE_LOOP = "o1-nested-size-loop"
-RULE_PERSIST_OUTSIDE_TXN = "persist-outside-txn"
 
 ALL_RULES = (
     RULE_SIZE_LOOP,
     RULE_CHARGE_IN_LOOP,
     RULE_RECURSION,
     RULE_NESTED_SIZE_LOOP,
-    RULE_PERSIST_OUTSIDE_TXN,
 )
-
-#: Journal *apply* methods: each mutates durable metadata and must be
-#: ordered after a commit (PersistSan checks this dynamically; the rule
-#: below is the static half).
-_PERSIST_APPLY_ATTRS = frozenset(
-    {"_apply_alloc", "_apply_shrink", "_apply_free", "_apply_migrate"}
-)
-
-#: The call that makes a journal record durable.
-_PERSIST_COMMIT_ATTR = "_journal_commit"
 
 #: Identifier fragments that suggest an iterable scales with operand size.
 _SIZE_NAME_RE = re.compile(
@@ -86,13 +67,6 @@ _PAGE_COLLECTION_RE = re.compile(
 #: Method names that charge simulated cost; one of these inside a
 #: size-dependent loop is per-operand cost by construction.
 _CHARGE_ATTRS = frozenset({"advance", "bump", "_charge", "charge", "observe"})
-
-_ALLOW_RE = re.compile(r"#\s*o1:\s*allow\(([^)]*)\)")
-
-#: The AllocSan spelling; same grammar, separate namespace, so one line
-#: can carry both an ``# o1: allow`` and an ``# alloc: allow`` comment
-#: without the rule vocabularies colliding.
-ALLOC_ALLOW_RE = re.compile(r"#\s*alloc:\s*allow\(([^)]*)\)")
 
 _LoopNode = Union[
     ast.For,
@@ -117,138 +91,13 @@ _LOOP_TYPES = (
 _SCOPE_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One conformance finding, addressable by (function, rule)."""
-
-    path: str
-    line: int
-    module: str
-    qualname: str
-    declared: Optional[ComplexityClass]
-    rule: str
-    message: str
-
-    @property
-    def function(self) -> str:
-        """Dotted name used by baseline entries."""
-        return f"{self.module}.{self.qualname}"
-
-    def format(self) -> str:
-        """One-line human-readable rendering."""
-        if self.declared is None:
-            return (
-                f"{self.path}:{self.line}: [{self.rule}] {self.function}: "
-                f"{self.message}"
-            )
-        return (
-            f"{self.path}:{self.line}: [{self.rule}] {self.function} "
-            f"declared {self.declared}: {self.message}"
-        )
-
-
 @dataclass
 class LintResult:
-    """Outcome of linting a tree: findings plus coverage counts."""
+    """Outcome of the intra pass: findings plus coverage counts."""
 
-    violations: List[Violation]
+    violations: List[Finding]
     inline_suppressed: int
-    files_checked: int
     functions_checked: int
-    #: path -> line numbers of ``# o1: allow`` comments that suppressed
-    #: (or bounded) something; the stale-suppression detector subtracts
-    #: these (plus the flow pass's set) from every allow comment found.
-    used_allows: Dict[str, Set[int]] = field(default_factory=dict)
-
-
-# ---------------------------------------------------------------------------
-# Inline suppressions
-# ---------------------------------------------------------------------------
-def _allowed_lines(
-    source: str, pattern: "re.Pattern[str]" = _ALLOW_RE
-) -> Dict[int, Set[str]]:
-    """line number -> rules allowed by an ``# o1: allow(...)`` comment."""
-    allowed: Dict[int, Set[str]] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = pattern.search(line)
-        if match is None:
-            continue
-        rules = {part.strip() for part in match.group(1).split(",") if part.strip()}
-        allowed[lineno] = rules or {"*"}
-    return allowed
-
-
-def allow_comment_lines(
-    source: str, pattern: "re.Pattern[str]" = _ALLOW_RE
-) -> Dict[int, Set[str]]:
-    """Like :func:`_allowed_lines`, but only *real* comments count.
-
-    The plain line scan also matches ``o1: allow(...)`` text inside
-    docstrings (this module's own header, for one); staleness reporting
-    must not flag those, so it works from the token stream instead.
-    Falls back to the line scan if the file does not tokenize.
-    """
-    allowed: Dict[int, Set[str]] = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for token in tokens:
-            if token.type != tokenize.COMMENT:
-                continue
-            match = pattern.search(token.string)
-            if match is None:
-                continue
-            rules = {
-                part.strip()
-                for part in match.group(1).split(",")
-                if part.strip()
-            }
-            allowed[token.start[0]] = rules or {"*"}
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return _allowed_lines(source, pattern)
-    return allowed
-
-
-class AllowMap:
-    """Inline-suppression map for one file, with usage tracking.
-
-    ``allow()`` is the query the lint passes use: it returns True when
-    one of the candidate lines carries an allow comment naming the rule
-    (or ``*``), and records the matched line so unused comments can be
-    reported as stale afterwards.  ``match()`` is the same lookup
-    without the usage side effect, for callers that only commit to the
-    suppression later (e.g. a ``flow-bounded`` call-site allow is *used*
-    only if the callee was actually non-constant).
-
-    The default ``pattern`` reads ``# o1: allow(...)`` comments; the
-    AllocSan pass builds its maps with :data:`ALLOC_ALLOW_RE` so the two
-    suppression namespaces stay disjoint.
-    """
-
-    def __init__(
-        self, source: str, pattern: "re.Pattern[str]" = _ALLOW_RE
-    ) -> None:
-        self.rules_by_line = _allowed_lines(source, pattern)
-        self.comment_lines = allow_comment_lines(source, pattern)
-        self.used: Set[int] = set()
-
-    def match(self, lines: Iterable[int], rule: str) -> Optional[int]:
-        """First candidate line allowing ``rule``, or None; no marking."""
-        for lineno in lines:
-            rules = self.rules_by_line.get(lineno)
-            if rules is not None and (rule in rules or "*" in rules):
-                return lineno
-        return None
-
-    def allow(self, lines: Iterable[int], rule: str) -> bool:
-        """True (and mark the comment used) if any line allows ``rule``."""
-        lineno = self.match(lines, rule)
-        if lineno is None:
-            return False
-        self.used.add(lineno)
-        return True
-
-    def mark_used(self, lineno: int) -> None:
-        self.used.add(lineno)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +222,7 @@ class _FunctionChecker:
         self._qualname = qualname
         self._path = path
         self._allowed = allowed
-        self.violations: List[Violation] = []
+        self.violations: List[Finding] = []
         self.suppressed = 0
 
     def run(self) -> None:
@@ -439,14 +288,13 @@ class _FunctionChecker:
             self.suppressed += 1
             return False
         self.violations.append(
-            Violation(
+            Finding(
                 path=self._path,
                 line=line,
                 module=self._module,
                 qualname=self._qualname,
-                declared=self._declared,
                 rule=rule,
-                message=message,
+                message=f"{message} (declared {self._declared})",
             )
         )
         return True
@@ -476,93 +324,13 @@ class _FunctionChecker:
 
 
 # ---------------------------------------------------------------------------
-# Persist-ordering rule (applies to every function, declared or not)
+# Module walking
 # ---------------------------------------------------------------------------
-def _check_persist_ordering(
-    func: Union[ast.FunctionDef, ast.AsyncFunctionDef],
-    module: str,
-    qualname: str,
-    path: str,
-    allowed: AllowMap,
-) -> Tuple[List[Violation], int]:
-    """Flag journaled-write applies with no preceding commit in scope.
-
-    A call to one of :data:`_PERSIST_APPLY_ATTRS` mutates durable FS
-    metadata, so it may only run after the journal record describing it
-    has been committed.  Statically that means: within the calling
-    function there must be a ``_journal_commit(...)`` call on an earlier
-    line, or the site carries an explicit
-    ``# o1: allow(persist-outside-txn)`` justification (e.g. crash
-    recovery redoing records the *previous* boot committed).
-    """
-    if func.name in _PERSIST_APPLY_ATTRS:
-        return [], 0  # the apply implementations themselves
-    commit_line: Optional[int] = None
-    applies: List[ast.Call] = []
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, _SCOPE_TYPES):
-            continue  # nested defs are their own transaction scopes
-        stack.extend(ast.iter_child_nodes(node))
-        if not isinstance(node, ast.Call) or not isinstance(
-            node.func, ast.Attribute
-        ):
-            continue
-        attr = node.func.attr
-        if attr == _PERSIST_COMMIT_ATTR:
-            if commit_line is None or node.lineno < commit_line:
-                commit_line = node.lineno
-        elif attr in _PERSIST_APPLY_ATTRS:
-            applies.append(node)
-    violations: List[Violation] = []
-    suppressed = 0
-    for call in applies:
-        if commit_line is not None and commit_line < call.lineno:
-            continue
-        if allowed.allow(
-            (call.lineno, call.lineno - 1, func.lineno),
-            RULE_PERSIST_OUTSIDE_TXN,
-        ):
-            suppressed += 1
-            continue
-        attr_name = call.func.attr if isinstance(call.func, ast.Attribute) else "?"
-        violations.append(
-            Violation(
-                path=path,
-                line=call.lineno,
-                module=module,
-                qualname=qualname,
-                declared=None,
-                rule=RULE_PERSIST_OUTSIDE_TXN,
-                message=(
-                    f"journaled mutation {attr_name}() applied with no "
-                    "preceding _journal_commit() in scope"
-                ),
-            )
-        )
-    return violations, suppressed
-
-
-# ---------------------------------------------------------------------------
-# Module / tree walking
-# ---------------------------------------------------------------------------
-def lint_source(
-    source: str,
-    module: str,
-    path: str = "<string>",
-    allowed: Optional[AllowMap] = None,
+def lint_module(
+    tree: ast.Module, module: str, path: str, allowed: AllowMap
 ) -> LintResult:
-    """Lint one module's source text (exposed for tests).
-
-    ``allowed`` lets a caller share one :class:`AllowMap` between this
-    pass and the flow pass so suppression *usage* accumulates in one
-    place; by default a private map is built from ``source``.
-    """
-    tree = ast.parse(source, filename=path)
-    if allowed is None:
-        allowed = AllowMap(source)
-    violations: List[Violation] = []
+    """Lint one parsed module, marking the allows it uses in ``allowed``."""
+    violations: List[Finding] = []
     suppressed = 0
     functions = 0
 
@@ -571,25 +339,19 @@ def lint_source(
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 declared = declared_class_of(child)
-                qualname = ".".join(scope + (child.name,))
                 if declared is not None:
                     functions += 1
                     checker = _FunctionChecker(
                         func=child,
                         declared=declared,
                         module=module,
-                        qualname=qualname,
+                        qualname=".".join(scope + (child.name,)),
                         path=path,
                         allowed=allowed,
                     )
                     checker.run()
                     violations.extend(checker.violations)
                     suppressed += checker.suppressed
-                persist_violations, persist_suppressed = _check_persist_ordering(
-                    child, module, qualname, path, allowed
-                )
-                violations.extend(persist_violations)
-                suppressed += persist_suppressed
                 walk(child, scope + (child.name,))
             elif isinstance(child, ast.ClassDef):
                 walk(child, scope + (child.name,))
@@ -600,10 +362,14 @@ def lint_source(
     return LintResult(
         violations=violations,
         inline_suppressed=suppressed,
-        files_checked=1,
         functions_checked=functions,
-        used_allows={path: set(allowed.used)},
     )
+
+
+def lint_source(source: str, module: str, path: str = "<string>") -> LintResult:
+    """Parse and lint one module's source text."""
+    tree = ast.parse(source, filename=path)
+    return lint_module(tree, module, path, allow_maps_for(source)["o1"])
 
 
 def module_name_for(path: Path, root: Path, package: str) -> str:
@@ -613,24 +379,3 @@ def module_name_for(path: Path, root: Path, package: str) -> str:
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join([package, *parts]) if parts else package
-
-
-def lint_tree(root: Path, package: str = "repro") -> LintResult:
-    """Lint every ``*.py`` file under ``root`` (the package directory)."""
-    root = root.resolve()
-    total = LintResult(
-        violations=[], inline_suppressed=0, files_checked=0, functions_checked=0
-    )
-    for path in sorted(root.rglob("*.py")):
-        source = path.read_text(encoding="utf-8")
-        result = lint_source(
-            source, module_name_for(path, root, package), str(path)
-        )
-        total.violations.extend(result.violations)
-        total.inline_suppressed += result.inline_suppressed
-        total.files_checked += 1
-        total.functions_checked += result.functions_checked
-        for used_path, lines in result.used_allows.items():
-            total.used_allows.setdefault(used_path, set()).update(lines)
-    total.violations.sort(key=lambda v: (v.path, v.line, v.rule))
-    return total

@@ -1,7 +1,9 @@
 """Syntactic call graph over a package tree, for interprocedural lint.
 
 The graph is built without importing the analyzed code: every module
-under the package root is parsed, functions and classes are registered
+under the package root is read and parsed exactly once — the graph keeps
+each module's source, its AST and one allow-comment map per suppression
+namespace, and every lint pass works from those — functions and classes are registered
 under module-qualified names, and each call expression is resolved to
 its possible targets with a deliberately conservative, type-hint-assisted
 resolver:
@@ -35,8 +37,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.lint.astcheck import AllowMap, declared_class_of, module_name_for
+from repro.lint.astcheck import declared_class_of, module_name_for
 from repro.lint.decorators import ComplexityClass
+from repro.lint.findings import ALLOW_PATTERNS, AllowMap, allow_maps_for
 
 FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -138,6 +141,7 @@ class CallSite:
 class _ModuleInfo:
     module: str
     path: str
+    source: str = field(repr=False)
     tree: ast.Module = field(repr=False)
     is_package: bool
     imports: Dict[str, str] = field(default_factory=dict)
@@ -150,7 +154,10 @@ class CallGraph:
         self.functions: Dict[str, FunctionNode] = {}
         self.classes: Dict[str, ClassNode] = {}
         self.calls: Dict[str, List[CallSite]] = {}
-        self.allow_maps: Dict[str, AllowMap] = {}
+        #: namespace (``o1`` / ``alloc``) -> path -> allow-comment map.
+        self.allows: Dict[str, Dict[str, AllowMap]] = {
+            namespace: {} for namespace in ALLOW_PATTERNS
+        }
         self.modules: Dict[str, _ModuleInfo] = {}
         #: module -> {global name -> class id} for module-level singletons
         #: (``_machine = Machine(...)``); consulted when a local name has
@@ -320,11 +327,13 @@ class _Builder:
             info = _ModuleInfo(
                 module=module,
                 path=str(path),
+                source=source,
                 tree=tree,
                 is_package=path.name == "__init__.py",
             )
             self.graph.modules[module] = info
-            self.graph.allow_maps[str(path)] = AllowMap(source)
+            for namespace, allowed in allow_maps_for(source).items():
+                self.graph.allows[namespace][str(path)] = allowed
             self.graph.files_parsed += 1
             self._collect_imports(info)
             self._collect_defs(info, tree, scope=(), owner=None)

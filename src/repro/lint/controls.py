@@ -41,16 +41,16 @@ def _control_touch_all(pages: Iterable[int]) -> int:
 def control_persist_commit_elsewhere(fs: Any) -> None:
     """Applies a journaled mutation through a helper; nobody commits.
 
-    The helper's apply site carries the *intra*-rule allow (the classic
-    "caller commits" justification), so the old pass is silent — and no
-    caller on this path ever commits.  The flow pass must report
-    ``flow-persist-outside-txn`` here, at the protocol root.
+    The helper's body alone looks like the classic "caller commits"
+    shape — and no caller on this path ever commits.  The flow pass
+    must report ``flow-persist-outside-txn`` here, at the protocol
+    root.
     """
     _control_apply(fs)
 
 
 def _control_apply(fs: Any) -> None:
-    fs._apply_alloc(None)  # o1: allow(persist-outside-txn) -- control: caller commits
+    fs._apply_alloc(None)
 
 
 @allocfree(note="control: deliberately mislabeled; AllocSan must flag this")

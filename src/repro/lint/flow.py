@@ -1,62 +1,77 @@
-"""`repro.lint.flow` — interprocedural O(1) conformance.
+"""`repro.lint.flow` — the whole-package static lint run.
 
-Orchestrates the whole-package pass behind ``repro-o1 lint
---interproc``: builds the syntactic call graph
-(:mod:`repro.lint.callgraph`), propagates transitive cost summaries
-(:mod:`repro.lint.summaries`), evaluates the must-call protocols
-(:mod:`repro.lint.protocols`), and turns the results into findings:
+:func:`run_lint` is everything ``repro-o1 lint`` checks statically.  It
+parses the package once (:mod:`repro.lint.callgraph`) and runs every
+static pass over that one parse, each producing one report
+:class:`~repro.lint.findings.Section`:
 
-``flow-cost-exceeds-declared``
-    a declared function's transitive summary is worse than its
-    decorator, with the witness call chain down to the loop.
-``flow-undeclared``
-    a function reachable from a ``Syscalls.*`` / ``Kernel.*`` hot-path
-    entry point is neither declared nor constant-shaped.
-``flow-stale-translation``
-    a syscall-boundary entry can return with a page-table mutation no
-    invalidation ever covers.
-``flow-persist-outside-txn``
-    a journal apply can execute with no commit anywhere on the path
-    from its protocol root.
-``flow-control-missing``
-    a planted control (:mod:`repro.lint.controls`) was *not* flagged —
-    the pass itself is broken.
+``lint``
+    the intraprocedural cost-shape rules (:mod:`repro.lint.astcheck`).
+``flow``
+    the interprocedural cost pass (:mod:`repro.lint.summaries` on the
+    shared engine, :mod:`repro.lint.engine`) and the must-call protocols
+    (:mod:`repro.lint.protocols`):
 
-Findings ratchet through ``flow_baseline.json`` (same format and
-stale-entry semantics as the intra baseline; ships empty).  The pass
-also owns stale-suppression detection: every ``# o1: allow`` comment
-that neither the intra pass nor this one consumed is reported, with
-unused-``noqa`` semantics.
+    ``flow-cost-exceeds-declared``
+        a declared function's transitive summary is worse than its
+        decorator, with the witness call chain down to the loop.
+    ``flow-undeclared``
+        a function reachable from a ``Syscalls.*`` / ``Kernel.*``
+        hot-path entry point is neither declared nor constant-shaped.
+    ``flow-stale-translation``
+        a syscall-boundary entry can return with a page-table mutation
+        no invalidation ever covers.
+    ``flow-persist-outside-txn``
+        a journal apply can execute with no commit anywhere on the path
+        from its protocol root.
+    ``flow-control-missing``
+        a planted control (:mod:`repro.lint.controls`) was *not* flagged
+        — the pass itself is broken.
+``alloc``
+    AllocSan (:mod:`repro.lint.alloc`), the same engine over the
+    allocation lattice.
+
+Findings ratchet through one baseline file (``o1_baseline.json``,
+ships empty; hot-closure and missing-control findings can never be
+baselined).  Every inline allow comment that no pass consumed is a
+stale suppression, per namespace: ``# o1:`` ones in the ``flow``
+section, ``# alloc:`` ones in the ``alloc`` section.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Tuple
 
-from repro.lint.astcheck import ALL_RULES
+from repro.lint.alloc import (
+    ALLOC_RULES,
+    RULE_ALLOC_CONTROL_MISSING,
+    RULE_ALLOC_HOT,
+    alloc_section,
+)
+from repro.lint.astcheck import ALL_RULES, lint_module
 from repro.lint.callgraph import CallGraph, build_callgraph
+from repro.lint.engine import coverage_findings, declared_findings
+from repro.lint.findings import (
+    DEFAULT_BASELINE,
+    Section,
+    apply_baseline,
+    load_baseline,
+    split_controls,
+    stale_suppressions,
+)
 from repro.lint.protocols import (
     RULE_FLOW_PERSIST,
     RULE_STALE_TRANSLATION,
-    ProtocolResult,
     compute_protocols,
-    persist_roots,
+    protocol_findings,
 )
-from repro.lint.summaries import (
-    RULE_BOUNDED,
-    RULE_COST_EXCEEDS,
-    RULE_UNDECLARED,
-    Cost,
-    Hop,
-    SummaryTable,
-    declared_cost,
-)
+from repro.lint.summaries import RULE_COST_EXCEEDS, RULE_UNDECLARED, cost_table
 
 RULE_CONTROL_MISSING = "flow-control-missing"
 
-#: Reportable flow rules (RULE_BOUNDED is suppression-only).
+#: Reportable flow rules (``flow-bounded`` is suppression-only).
 FLOW_RULES = (
     RULE_COST_EXCEEDS,
     RULE_UNDECLARED,
@@ -65,12 +80,9 @@ FLOW_RULES = (
     RULE_CONTROL_MISSING,
 )
 
-#: Every rule an ``# o1: allow`` comment may legitimately name.
-ALLOWABLE_RULES = (*ALL_RULES, *FLOW_RULES, RULE_BOUNDED)
-
-#: Default ratcheting baseline for flow findings; ships empty and the
-#: CI gate keeps it that way — new violations get fixed, not baselined.
-DEFAULT_FLOW_BASELINE = Path(__file__).with_name("flow_baseline.json")
+#: Every rule a baseline entry may name, and those it never may.
+BASELINE_RULES = (*ALL_RULES, *FLOW_RULES, *ALLOC_RULES)
+UNBASELINABLE_RULES = (RULE_ALLOC_HOT, RULE_ALLOC_CONTROL_MISSING, RULE_CONTROL_MISSING)
 
 #: Planted controls the pass must flag on every run (function, rule).
 CONTROLS: Tuple[Tuple[str, str], ...] = (
@@ -85,62 +97,6 @@ _KERNEL_ENTRY_NAMES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class FlowFinding:
-    """One interprocedural finding, addressable by (function, rule)."""
-
-    path: str
-    line: int
-    module: str
-    qualname: str
-    rule: str
-    message: str
-    chain: Tuple[Hop, ...] = ()
-
-    @property
-    def function(self) -> str:
-        """Dotted name used by baseline entries."""
-        return f"{self.module}.{self.qualname}"
-
-    def format(self) -> str:
-        head = f"{self.path}:{self.line}: [{self.rule}] {self.function}: {self.message}"
-        if not self.chain:
-            return head
-        steps = "\n".join(f"      {hop.format()}" for hop in self.chain)
-        return f"{head}\n{steps}"
-
-
-@dataclass(frozen=True)
-class StaleSuppression:
-    """An ``# o1: allow`` comment that suppressed nothing in either pass."""
-
-    path: str
-    line: int
-    rules: Tuple[str, ...]
-
-    def format(self) -> str:
-        listed = ", ".join(self.rules)
-        return f"{self.path}:{self.line}: stale suppression # o1: allow({listed})"
-
-
-@dataclass
-class FlowResult:
-    """Everything ``lint --interproc`` reports."""
-
-    findings: List[FlowFinding]
-    controls_verified: List[FlowFinding]
-    stale_suppressions: List[StaleSuppression]
-    entries: List[str]
-    files: int
-    functions: int
-    sites_total: int
-    sites_resolved: int
-    graph: CallGraph = field(repr=False)
-
-
-# ---------------------------------------------------------------------------
-# Entry points
-# ---------------------------------------------------------------------------
 def entry_points(graph: CallGraph) -> List[str]:
     """Hot-path entries: public ``Syscalls`` methods plus the ``Kernel``
     operations user programs hit on every access/fork/crash."""
@@ -161,258 +117,106 @@ def entry_points(graph: CallGraph) -> List[str]:
     return entries
 
 
-# ---------------------------------------------------------------------------
-# Checks
-# ---------------------------------------------------------------------------
-def _cost_findings(table: SummaryTable) -> List[FlowFinding]:
-    graph = table.graph
-    findings: List[FlowFinding] = []
-    for fid in sorted(graph.functions):
-        func = graph.functions[fid]
-        if func.declared is None:
-            continue
-        summary = table.summaries[fid]
-        if summary.cost <= declared_cost(func.declared):
-            continue
-        allowed = graph.allow_maps[func.path]
-        if allowed.allow((func.lineno,), RULE_COST_EXCEEDS):
-            continue
-        chain = tuple(table.witness_chain(fid))
-        line = chain[0].line if chain else func.lineno
-        findings.append(
-            FlowFinding(
-                path=func.path,
-                line=line,
-                module=func.module,
-                qualname=func.qualname,
-                rule=RULE_COST_EXCEEDS,
-                message=(
-                    f"declared {func.declared} but the call graph reaches "
-                    f"{summary.cost.label} work"
-                ),
-                chain=chain,
-            )
-        )
-    return findings
+def lint_section(graph: CallGraph) -> Section:
+    """The intraprocedural rules over every parsed module."""
+    section = Section(
+        name="lint",
+        rules=ALL_RULES,
+        findings=[],
+        stats={
+            "files_checked": graph.files_parsed,
+            "functions_checked": 0,
+            "inline_suppressed": 0,
+        },
+    )
+    for info in graph.modules.values():
+        allowed = graph.allows["o1"][info.path]
+        result = lint_module(info.tree, info.module, info.path, allowed)
+        section.findings.extend(result.violations)
+        section.stats["functions_checked"] += result.functions_checked
+        section.stats["inline_suppressed"] += result.inline_suppressed
+    return section
 
 
-def _coverage_findings(
-    table: SummaryTable, entries: Sequence[str]
-) -> List[FlowFinding]:
-    graph = table.graph
-    parent: Dict[str, Tuple[Optional[str], int]] = {}
-    order: List[str] = []
-    for entry in entries:
-        if entry in parent:
-            continue
-        parent[entry] = (None, graph.functions[entry].lineno)
-        queue = [entry]
-        while queue:
-            current = queue.pop(0)
-            order.append(current)
-            for site in graph.calls.get(current, ()):
-                for target in site.targets:
-                    if target in parent or target not in graph.functions:
-                        continue
-                    parent[target] = (current, site.line)
-                    queue.append(target)
-    findings: List[FlowFinding] = []
-    for fid in order:
-        func = graph.functions[fid]
-        if func.declared is not None:
-            continue
-        summary = table.summaries[fid]
-        if summary.cost is Cost.CONSTANT:
-            continue
-        allowed = graph.allow_maps[func.path]
-        if allowed.allow((func.lineno,), RULE_UNDECLARED):
-            continue
-        hops: List[Hop] = []
-        cursor: Optional[str] = fid
-        while cursor is not None:
-            origin, line = parent[cursor]
-            hops.append(
-                Hop(
-                    fid=cursor,
-                    path=graph.functions[cursor].path,
-                    line=line,
-                    note="" if origin is None else "called from here",
-                )
-            )
-            cursor = origin
-        hops.reverse()
-        witness = summary.witness
-        if witness is not None:
-            hops.append(
-                Hop(fid=fid, path=func.path, line=witness.line, note=witness.detail)
-            )
-        entry_fid = hops[0].fid
-        findings.append(
-            FlowFinding(
-                path=func.path,
-                line=func.lineno,
-                module=func.module,
-                qualname=func.qualname,
-                rule=RULE_UNDECLARED,
-                message=(
-                    f"reachable from hot-path entry {entry_fid} with "
-                    f"{summary.cost.label} shape but no @o1/@complexity "
-                    "declaration"
-                ),
-                chain=tuple(hops[:12]),
-            )
-        )
-    return findings
-
-
-def _protocol_findings(
-    graph: CallGraph, protocols: ProtocolResult, entries: Sequence[str]
-) -> List[FlowFinding]:
-    findings: List[FlowFinding] = []
-    for entry in entries:
-        effect = protocols.tlb.get(entry)
-        if effect is None or not effect.gen:
-            continue
-        func = graph.functions[entry]
-        allowed = graph.allow_maps[func.path]
-        if allowed.allow((func.lineno,), RULE_STALE_TRANSLATION):
-            continue
-        line = effect.chain[0].line if effect.chain else func.lineno
-        findings.append(
-            FlowFinding(
-                path=func.path,
-                line=line,
-                module=func.module,
-                qualname=func.qualname,
-                rule=RULE_STALE_TRANSLATION,
-                message=(
-                    "page-table mutation can reach the syscall return with "
-                    "no TLB/rTLB/premap invalidation on any later path"
-                ),
-                chain=effect.chain,
-            )
-        )
-    roots = set(persist_roots(graph, protocols)) | set(entries)
-    seen: Set[Tuple[str, str, int]] = set()
-    for root in sorted(roots):
-        effect = protocols.persist.get(root)
-        if effect is None or not effect.pre_applies:
-            continue
-        func = graph.functions[root]
-        allowed = graph.allow_maps[func.path]
-        if allowed.allow((func.lineno,), RULE_FLOW_PERSIST):
-            continue
-        for chain in effect.pre_applies:
-            apply_hop = chain[-1]
-            key = (root, apply_hop.path, apply_hop.line)
-            if key in seen:
-                continue
-            seen.add(key)
-            line = chain[0].line if chain else func.lineno
-            findings.append(
-                FlowFinding(
-                    path=func.path,
-                    line=line,
-                    module=func.module,
-                    qualname=func.qualname,
-                    rule=RULE_FLOW_PERSIST,
-                    message=(
-                        "journaled mutation can apply with no "
-                        "_journal_commit() anywhere on the path from this "
-                        "protocol root"
-                    ),
-                    chain=chain,
-                )
-            )
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# Controls and stale suppressions
-# ---------------------------------------------------------------------------
-def _split_controls(
-    findings: List[FlowFinding],
-) -> Tuple[List[FlowFinding], List[FlowFinding]]:
-    control_keys = set(CONTROLS)
-    real: List[FlowFinding] = []
-    verified: List[FlowFinding] = []
-    for finding in findings:
-        if (finding.function, finding.rule) in control_keys:
-            verified.append(finding)
-        else:
-            real.append(finding)
-    fired = {(f.function, f.rule) for f in verified}
-    for function, rule in CONTROLS:
-        if (function, rule) in fired:
-            continue
-        module, _, qualname = function.rpartition(".")
-        real.append(
-            FlowFinding(
-                path="<flow>",
-                line=0,
-                module=module,
-                qualname=qualname,
-                rule=RULE_CONTROL_MISSING,
-                message=(
-                    f"planted control was not flagged for {rule}; the "
-                    "flow pass is not detecting what it is built to detect"
-                ),
-            )
-        )
-    return real, verified
-
-
-def _stale_suppressions(
-    graph: CallGraph, intra_used: Optional[Dict[str, Set[int]]]
-) -> List[StaleSuppression]:
-    stale: List[StaleSuppression] = []
-    for path in sorted(graph.allow_maps):
-        allow_map = graph.allow_maps[path]
-        used = set(allow_map.used)
-        if intra_used is not None:
-            used |= intra_used.get(path, set())
-        for line in sorted(allow_map.comment_lines):
-            if line in used:
-                continue
-            stale.append(
-                StaleSuppression(
-                    path=path,
-                    line=line,
-                    rules=tuple(sorted(allow_map.comment_lines[line])),
-                )
-            )
-    return stale
-
-
-# ---------------------------------------------------------------------------
-# Driver
-# ---------------------------------------------------------------------------
-def run_flow(
-    root: Path,
-    package: str = "repro",
-    intra_used: Optional[Dict[str, Set[int]]] = None,
-) -> FlowResult:
-    """Run the whole interprocedural pass over the package at ``root``."""
-    graph = build_callgraph(root, package)
-    table = SummaryTable(graph)
-    protocols = compute_protocols(graph)
+def flow_section(graph: CallGraph) -> Section:
+    """Cost summaries, hot-path declaration coverage and the protocols."""
+    table = cost_table(graph)
     entries = entry_points(graph)
-    findings = (
-        _cost_findings(table)
-        + _coverage_findings(table, entries)
-        + _protocol_findings(graph, protocols, entries)
+
+    def every_edge(fid: str) -> Iterator[Tuple[str, int]]:
+        for site in graph.calls.get(fid, ()):
+            for target in site.targets:
+                yield target, site.line
+
+    coverage, _ = coverage_findings(
+        table,
+        entries,
+        every_edge,
+        RULE_UNDECLARED,
+        "reachable from hot-path entry {entry} with {label} shape but no "
+        "@o1/@complexity declaration",
     )
-    findings, verified = _split_controls(findings)
-    findings.sort(key=lambda f: (f.path, f.line, f.rule, f.function))
-    stale = _stale_suppressions(graph, intra_used)
-    return FlowResult(
+    findings, verified = split_controls(
+        declared_findings(table, RULE_COST_EXCEEDS, noun=" work")
+        + coverage
+        + protocol_findings(graph, compute_protocols(graph), entries),
+        CONTROLS,
+        RULE_CONTROL_MISSING,
+        "the flow pass",
+    )
+    return Section(
+        name="flow",
+        rules=FLOW_RULES,
         findings=findings,
-        controls_verified=verified,
-        stale_suppressions=stale,
+        stats={
+            "files": graph.files_parsed,
+            "functions": len(graph.functions),
+            "call_sites_total": graph.sites_total,
+            "call_sites_resolved": graph.sites_resolved,
+        },
         entries=entries,
-        files=graph.files_parsed,
-        functions=len(graph.functions),
-        sites_total=graph.sites_total,
-        sites_resolved=graph.sites_resolved,
-        graph=graph,
+        controls=CONTROLS,
+        controls_verified=verified,
     )
+
+
+@dataclass
+class LintRun:
+    """Every static section of one ``repro-o1 lint`` run."""
+
+    graph: CallGraph
+    sections: List[Section]
+
+    def section(self, name: str) -> Section:
+        return next(s for s in self.sections if s.name == name)
+
+    @property
+    def failed(self) -> bool:
+        """New findings, stale baseline entries or stale suppressions."""
+        return any(
+            s.outcome is None
+            or s.outcome.new
+            or s.outcome.stale
+            or s.stale_suppressions
+            for s in self.sections
+        )
+
+
+def run_lint(
+    root: Path, package: str = "repro", baseline: Path = DEFAULT_BASELINE
+) -> LintRun:
+    """Parse the package at ``root`` once and run every static pass."""
+    graph = build_callgraph(root, package)
+    sections = [lint_section(graph), flow_section(graph), alloc_section(graph)]
+    # Every pass has consumed its allows by now; what is left is stale.
+    sections[1].stale_suppressions = stale_suppressions(graph.allows["o1"], "o1")
+    sections[2].stale_suppressions = stale_suppressions(
+        graph.allows["alloc"], "alloc"
+    )
+    entries = load_baseline(baseline, BASELINE_RULES, UNBASELINABLE_RULES)
+    for section in sections:
+        section.findings.sort(key=lambda f: (f.path, f.line, f.rule, f.function))
+        section.outcome = apply_baseline(
+            section.findings, [e for e in entries if e.rule in section.rules]
+        )
+    return LintRun(graph=graph, sections=sections)

@@ -21,39 +21,48 @@ aborts the translation anyway).
 
 **Persist ordering** (PersistSan's static half,
 ``flow-persist-outside-txn``): a journal *apply* may only run once the
-record describing it has been committed.  The intraprocedural rule only
-sees commit and apply in the same body; here each function summarizes
+record describing it has been committed.  Each function summarizes
 whether it (maybe) commits and which applies can execute before any
 commit, and a call composes the callee's pre-commit applies into the
 caller unless the caller has already committed by the call site.
 Findings are reported at protocol *roots* — entry points and functions
 no one in the package calls — with the full chain down to the apply.
+The journal *apply* methods themselves are the primitive, not a
+violation of it.
+
+Both protocols run through one statement walker, generic over the
+effect domain's ``(identity, compose, join, call_effect)``, to a
+fixpoint over the SCC-condensed call graph: an acyclic SCC is evaluated
+once, a cycle until no member's effect changes.
 
 Inline escapes: ``# o1: allow(flow-stale-translation)`` on a mutation
 site asserts no prior translation can exist (e.g. linking a subtree
 into a hole); ``# o1: allow(flow-persist-outside-txn)`` on an apply
 site asserts the record is known-committed (e.g. crash-recovery redo).
-An apply allowed only for the *intra* rule still propagates — that is
-how the flow pass catches the commit-lives-in-the-caller false negative.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Generic, List, Optional, Sequence, Set, Tuple, TypeVar
 
-from repro.lint.astcheck import (
-    _PERSIST_APPLY_ATTRS,
-    _PERSIST_COMMIT_ATTR,
-    RULE_PERSIST_OUTSIDE_TXN,
-    _SCOPE_TYPES,
-)
+from repro.lint.astcheck import _SCOPE_TYPES
 from repro.lint.callgraph import CallGraph, CallSite, FunctionNode
-from repro.lint.summaries import Hop, strongly_connected
+from repro.lint.engine import is_cyclic, strongly_connected
+from repro.lint.findings import AllowMap, Finding, Hop
 
 RULE_STALE_TRANSLATION = "flow-stale-translation"
 RULE_FLOW_PERSIST = "flow-persist-outside-txn"
+
+#: Journal *apply* methods: each mutates durable metadata and must be
+#: ordered after a commit (PersistSan checks this dynamically).
+PERSIST_APPLY_ATTRS = frozenset(
+    {"_apply_alloc", "_apply_shrink", "_apply_free", "_apply_migrate"}
+)
+
+#: The call that makes a journal record durable.
+PERSIST_COMMIT_ATTR = "_journal_commit"
 
 #: Page-table mutators that can leave a stale translation behind.
 TLB_GEN_ATTRS = frozenset(
@@ -80,9 +89,123 @@ TLB_KILL_ATTRS = frozenset(
 _MAX_CHAIN = 12
 _MAX_FIXPOINT_PASSES = 8
 
+E = TypeVar("E")
+
 
 # ---------------------------------------------------------------------------
-# Stale-translation effect lattice
+# The generic statement walker
+# ---------------------------------------------------------------------------
+class _Walk:
+    """What a domain's ``call_effect`` may consult about the function."""
+
+    def __init__(
+        self,
+        graph: CallGraph,
+        func: FunctionNode,
+        sites: Dict[int, CallSite],
+    ) -> None:
+        self.graph = graph
+        self.func = func
+        self.sites = sites
+        self.allowed: AllowMap = graph.allows["o1"][func.path]
+
+    def hop(self, call: ast.Call, note: str) -> Hop:
+        return Hop(self.func.fid, self.func.path, call.lineno, note)
+
+
+class Domain(Generic[E]):
+    """An effect lattice the walker evaluates function bodies in."""
+
+    identity: E
+    #: Early ``return`` carries the pending effect to the function's exit
+    #: and ``raise`` exits are exempt; otherwise both are plain statements.
+    exits = False
+
+    def __init__(self, effects: Dict[str, E]) -> None:
+        #: fid -> effect, filled bottom-up over the SCCs.
+        self.effects = effects
+
+    def compose(self, first: E, second: E) -> E:
+        raise NotImplementedError
+
+    def join(self, first: E, second: E) -> E:
+        raise NotImplementedError
+
+    def call_effect(self, walk: _Walk, call: ast.Call) -> E:
+        raise NotImplementedError
+
+    def finish(self, func: FunctionNode, effect: E) -> E:
+        return effect
+
+    def evaluate(self, walk: _Walk) -> E:
+        """The effect of one function body against the current table."""
+        exit_effect = self.identity
+
+        def sequence(body: Sequence[ast.stmt]) -> E:
+            acc = self.identity
+            for stmt in body:
+                acc = statement(stmt, acc)
+            return acc
+
+        def calls_in(roots: List[ast.AST]) -> E:
+            calls: List[ast.Call] = []
+            stack = list(roots)
+            while stack:
+                node = stack.pop()
+                if isinstance(node, _SCOPE_TYPES):
+                    continue
+                stack.extend(ast.iter_child_nodes(node))
+                if isinstance(node, ast.Call):
+                    calls.append(node)
+            calls.sort(key=lambda c: (c.lineno, c.col_offset))
+            acc = self.identity
+            for call in calls:
+                acc = self.compose(acc, self.call_effect(walk, call))
+            return acc
+
+        def loop(acc: E, head: ast.expr, body: E, orelse: List[ast.stmt]) -> E:
+            acc = self.compose(acc, calls_in([head]))
+            acc = self.compose(acc, self.join(self.identity, body))
+            return self.compose(acc, sequence(orelse))
+
+        def statement(stmt: ast.stmt, acc: E) -> E:
+            nonlocal exit_effect
+            if isinstance(stmt, _SCOPE_TYPES):
+                return acc
+            if isinstance(stmt, ast.Raise) and self.exits:
+                # Exceptional exits are exempt: the fault path re-walks.
+                return acc
+            if isinstance(stmt, ast.If):
+                acc = self.compose(acc, calls_in([stmt.test]))
+                branches = self.join(sequence(stmt.body), sequence(stmt.orelse))
+                return self.compose(acc, branches)
+            if isinstance(stmt, (ast.For, ast.AsyncFor)):
+                return loop(acc, stmt.iter, sequence(stmt.body), stmt.orelse)
+            if isinstance(stmt, ast.While):
+                return loop(acc, stmt.test, sequence(stmt.body), stmt.orelse)
+            if isinstance(stmt, ast.Try):
+                acc = self.compose(acc, sequence(stmt.body))
+                handlers = self.identity
+                for handler in stmt.handlers:
+                    handlers = self.join(handlers, sequence(handler.body))
+                acc = self.compose(acc, handlers)
+                acc = self.compose(acc, sequence(stmt.orelse))
+                return self.compose(acc, sequence(stmt.finalbody))
+            if isinstance(stmt, (ast.With, ast.AsyncWith)):
+                for item in stmt.items:
+                    acc = self.compose(acc, calls_in([item.context_expr]))
+                return self.compose(acc, sequence(stmt.body))
+            acc = self.compose(acc, calls_in(list(ast.iter_child_nodes(stmt))))
+            if isinstance(stmt, ast.Return) and self.exits:
+                exit_effect = self.join(exit_effect, acc)
+            return acc
+
+        body = sequence(walk.func.node.body)
+        return self.finish(walk.func, self.join(exit_effect, body))
+
+
+# ---------------------------------------------------------------------------
+# Stale-translation effect
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class TlbEffect:
@@ -93,181 +216,72 @@ class TlbEffect:
     chain: Tuple[Hop, ...] = ()
 
 
-_IDENTITY = TlbEffect()
+class TlbDomain(Domain[TlbEffect]):
+    """*gen*: a mutation can still be pending on some path out;
+    *kill*: some path invalidates.  Composition is sequential (a later
+    kill clears an earlier gen); at a branch, gen joins pessimistically
+    and kill optimistically."""
 
+    identity = TlbEffect()
+    exits = True
 
-def _compose(first: TlbEffect, second: TlbEffect) -> TlbEffect:
-    gen = (first.gen and not second.kill) or second.gen
-    if second.gen:
-        chain = second.chain
-    elif first.gen and not second.kill:
-        chain = first.chain
-    else:
-        chain = ()
-    return TlbEffect(gen=gen, kill=first.kill or second.kill, chain=chain)
+    def compose(self, first: TlbEffect, second: TlbEffect) -> TlbEffect:
+        gen = (first.gen and not second.kill) or second.gen
+        if second.gen:
+            chain = second.chain
+        elif first.gen and not second.kill:
+            chain = first.chain
+        else:
+            chain = ()
+        return TlbEffect(gen=gen, kill=first.kill or second.kill, chain=chain)
 
+    def join(self, first: TlbEffect, second: TlbEffect) -> TlbEffect:
+        chain = first.chain if first.gen else second.chain
+        return TlbEffect(
+            gen=first.gen or second.gen, kill=first.kill or second.kill, chain=chain
+        )
 
-def _join(first: TlbEffect, second: TlbEffect) -> TlbEffect:
-    gen = first.gen or second.gen
-    chain = first.chain if first.gen else second.chain
-    return TlbEffect(gen=gen, kill=first.kill or second.kill, chain=chain)
-
-
-def _join_all(effects: Sequence[TlbEffect]) -> TlbEffect:
-    result = _IDENTITY
-    for effect in effects:
-        result = _join(result, effect)
-    return result
-
-
-class _TlbEvaluator:
-    """Evaluates one function body against the current effect table."""
-
-    def __init__(
-        self,
-        graph: CallGraph,
-        func: FunctionNode,
-        effects: Dict[str, TlbEffect],
-        sites_by_node: Dict[int, CallSite],
-    ) -> None:
-        self.graph = graph
-        self.func = func
-        self.effects = effects
-        self.sites = sites_by_node
-        self.allowed = graph.allow_maps[func.path]
-        self.exit_effect = _IDENTITY
-
-    def run(self) -> TlbEffect:
-        body_effect = self._sequence(self.func.node.body)
-        return _join(self.exit_effect, body_effect)
-
-    # -- structure -----------------------------------------------------
-    def _sequence(self, body: Sequence[ast.stmt]) -> TlbEffect:
-        acc = _IDENTITY
-        for stmt in body:
-            acc = self._statement(stmt, acc)
-        return acc
-
-    def _statement(self, stmt: ast.stmt, acc: TlbEffect) -> TlbEffect:
-        if isinstance(stmt, _SCOPE_TYPES):
-            return acc
-        if isinstance(stmt, ast.Return):
-            acc = _compose(acc, self._calls_in(stmt))
-            self.exit_effect = _join(self.exit_effect, acc)
-            return acc
-        if isinstance(stmt, ast.Raise):
-            # Exceptional exits are exempt: the fault path re-walks.
-            return acc
-        if isinstance(stmt, ast.If):
-            acc = _compose(acc, self._calls_in_expr(stmt.test))
-            branches = _join(
-                self._sequence(stmt.body), self._sequence(stmt.orelse)
-            )
-            return _compose(acc, branches)
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            acc = _compose(acc, self._calls_in_expr(stmt.iter))
-            loop_body = _join(_IDENTITY, self._sequence(stmt.body))
-            acc = _compose(acc, loop_body)
-            return _compose(acc, self._sequence(stmt.orelse))
-        if isinstance(stmt, ast.While):
-            acc = _compose(acc, self._calls_in_expr(stmt.test))
-            loop_body = _join(_IDENTITY, self._sequence(stmt.body))
-            acc = _compose(acc, loop_body)
-            return _compose(acc, self._sequence(stmt.orelse))
-        if isinstance(stmt, ast.Try):
-            acc = _compose(acc, self._sequence(stmt.body))
-            handler_effects = [self._sequence(h.body) for h in stmt.handlers]
-            acc = _compose(acc, _join_all([_IDENTITY, *handler_effects]))
-            acc = _compose(acc, self._sequence(stmt.orelse))
-            return _compose(acc, self._sequence(stmt.finalbody))
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                acc = _compose(acc, self._calls_in_expr(item.context_expr))
-            return _compose(acc, self._sequence(stmt.body))
-        return _compose(acc, self._calls_in(stmt))
-
-    # -- leaves --------------------------------------------------------
-    def _calls_in(self, stmt: ast.stmt) -> TlbEffect:
-        return self._calls_in_nodes(list(ast.iter_child_nodes(stmt)))
-
-    def _calls_in_expr(self, expr: ast.expr) -> TlbEffect:
-        return self._calls_in_nodes([expr])
-
-    def _calls_in_nodes(self, roots: List[ast.AST]) -> TlbEffect:
-        calls: List[ast.Call] = []
-        stack = list(roots)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _SCOPE_TYPES):
-                continue
-            stack.extend(ast.iter_child_nodes(node))
-            if isinstance(node, ast.Call):
-                calls.append(node)
-        calls.sort(key=lambda c: (c.lineno, c.col_offset))
-        acc = _IDENTITY
-        for call in calls:
-            acc = _compose(acc, self._call_effect(call))
-        return acc
-
-    def _call_effect(self, call: ast.Call) -> TlbEffect:
-        attr = call.func.attr if isinstance(call.func, ast.Attribute) else None
+    def call_effect(self, walk: _Walk, call: ast.Call) -> TlbEffect:
+        func = call.func
+        attr = func.attr if isinstance(func, ast.Attribute) else None
         if attr in TLB_KILL_ATTRS:
             return TlbEffect(kill=True)
-        if attr is not None and self._is_wp_slots_write(call):
-            return self._gen(call, "direct wp_slots write")
-        site = self.sites.get(id(call))
-        targets = site.targets if site is not None else ()
-        if attr in TLB_GEN_ATTRS:
-            if not targets or any(
-                self._owner_name(t) in TLB_GEN_OWNERS for t in targets
-            ):
-                return self._gen(call, f"page-table mutation {site.raw if site else attr}")
-        if targets:
-            effect = _join_all(
-                [self.effects.get(t, _IDENTITY) for t in targets]
-            )
-            if effect.gen and site is not None:
-                hop = Hop(
-                    fid=self.func.fid,
-                    path=self.func.path,
-                    line=call.lineno,
-                    note=f"calls {site.raw}",
-                )
-                effect = TlbEffect(
-                    gen=True,
-                    kill=effect.kill,
-                    chain=(hop, *effect.chain)[:_MAX_CHAIN],
-                )
-            return effect
-        return _IDENTITY
-
-    def _owner_name(self, fid: str) -> Optional[str]:
-        node = self.graph.functions.get(fid)
-        if node is None or node.owner is None:
-            return None
-        return node.owner.rsplit(".", 1)[-1]
-
-    def _is_wp_slots_write(self, call: ast.Call) -> bool:
-        func = call.func
-        return (
+        if (
             isinstance(func, ast.Attribute)
             and func.attr in ("add", "discard")
             and isinstance(func.value, ast.Attribute)
             and func.value.attr == "wp_slots"
-        )
-
-    def _gen(self, call: ast.Call, detail: str) -> TlbEffect:
-        if self.allowed.allow(
-            (call.lineno, call.lineno - 1), RULE_STALE_TRANSLATION
         ):
-            return _IDENTITY
-        hop = Hop(
-            fid=self.func.fid,
-            path=self.func.path,
-            line=call.lineno,
-            note=detail,
-        )
-        return TlbEffect(gen=True, chain=(hop,))
+            return self._gen(walk, call, "direct wp_slots write")
+        site = walk.sites.get(id(call))
+        targets = site.targets if site is not None else ()
+        if attr in TLB_GEN_ATTRS and (
+            not targets or any(_owner_name(walk.graph, t) in TLB_GEN_OWNERS for t in targets)
+        ):
+            return self._gen(
+                walk, call, f"page-table mutation {site.raw if site else attr}"
+            )
+        if not targets:
+            return self.identity
+        effect = self.identity
+        for target in targets:
+            effect = self.join(effect, self.effects.get(target, self.identity))
+        if effect.gen and site is not None:
+            chain = (walk.hop(call, f"calls {site.raw}"), *effect.chain)
+            effect = TlbEffect(gen=True, kill=effect.kill, chain=chain[:_MAX_CHAIN])
+        return effect
+
+    def _gen(self, walk: _Walk, call: ast.Call, detail: str) -> TlbEffect:
+        if walk.allowed.allow((call.lineno, call.lineno - 1), RULE_STALE_TRANSLATION):
+            return self.identity
+        return TlbEffect(gen=True, chain=(walk.hop(call, detail),))
+
+
+def _owner_name(graph: CallGraph, fid: str) -> Optional[str]:
+    node = graph.functions.get(fid)
+    if node is None or node.owner is None:
+        return None
+    return node.owner.rsplit(".", 1)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -281,140 +295,54 @@ class PersistEffect:
     pre_applies: Tuple[Tuple[Hop, ...], ...] = ()
 
 
-_P_IDENTITY = PersistEffect()
+class PersistDomain(Domain[PersistEffect]):
+    identity = PersistEffect()
 
+    def compose(self, first: PersistEffect, second: PersistEffect) -> PersistEffect:
+        pre = first.pre_applies
+        if not first.commits:
+            pre = pre + second.pre_applies
+        return PersistEffect(commits=first.commits or second.commits, pre_applies=pre)
 
-def _p_compose(first: PersistEffect, second: PersistEffect) -> PersistEffect:
-    pre = first.pre_applies
-    if not first.commits:
-        pre = pre + second.pre_applies
-    return PersistEffect(
-        commits=first.commits or second.commits, pre_applies=pre
-    )
+    def join(self, first: PersistEffect, second: PersistEffect) -> PersistEffect:
+        # Lenient commit join: if either arm commits, later applies are
+        # considered covered.  Pre-commit applies union pessimistically.
+        return PersistEffect(
+            commits=first.commits or second.commits,
+            pre_applies=first.pre_applies + second.pre_applies,
+        )
 
-
-def _p_join(first: PersistEffect, second: PersistEffect) -> PersistEffect:
-    # Lenient commit join (matches the intra rule's line-order
-    # heuristic): if either arm commits, later applies are considered
-    # covered.  Pre-commit applies union pessimistically.
-    return PersistEffect(
-        commits=first.commits or second.commits,
-        pre_applies=first.pre_applies + second.pre_applies,
-    )
-
-
-class _PersistEvaluator:
-    def __init__(
-        self,
-        graph: CallGraph,
-        func: FunctionNode,
-        effects: Dict[str, PersistEffect],
-        sites_by_node: Dict[int, CallSite],
-    ) -> None:
-        self.graph = graph
-        self.func = func
-        self.effects = effects
-        self.sites = sites_by_node
-        self.allowed = graph.allow_maps[func.path]
-
-    def run(self) -> PersistEffect:
-        return self._sequence(self.func.node.body)
-
-    def _sequence(self, body: Sequence[ast.stmt]) -> PersistEffect:
-        acc = _P_IDENTITY
-        for stmt in body:
-            acc = self._statement(stmt, acc)
-        return acc
-
-    def _statement(self, stmt: ast.stmt, acc: PersistEffect) -> PersistEffect:
-        if isinstance(stmt, _SCOPE_TYPES):
-            return acc
-        if isinstance(stmt, ast.If):
-            acc = _p_compose(acc, self._calls_in_expr(stmt.test))
-            return _p_compose(
-                acc, _p_join(self._sequence(stmt.body), self._sequence(stmt.orelse))
-            )
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            acc = _p_compose(acc, self._calls_in_expr(stmt.iter))
-            body = self._sequence(stmt.body)
-            acc = _p_compose(acc, _p_join(_P_IDENTITY, body))
-            return _p_compose(acc, self._sequence(stmt.orelse))
-        if isinstance(stmt, ast.While):
-            acc = _p_compose(acc, self._calls_in_expr(stmt.test))
-            body = self._sequence(stmt.body)
-            acc = _p_compose(acc, _p_join(_P_IDENTITY, body))
-            return _p_compose(acc, self._sequence(stmt.orelse))
-        if isinstance(stmt, ast.Try):
-            acc = _p_compose(acc, self._sequence(stmt.body))
-            handler_effects = [self._sequence(h.body) for h in stmt.handlers]
-            joined = _P_IDENTITY
-            for effect in handler_effects:
-                joined = _p_join(joined, effect)
-            acc = _p_compose(acc, joined)
-            acc = _p_compose(acc, self._sequence(stmt.orelse))
-            return _p_compose(acc, self._sequence(stmt.finalbody))
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                acc = _p_compose(acc, self._calls_in_expr(item.context_expr))
-            return _p_compose(acc, self._sequence(stmt.body))
-        return _p_compose(acc, self._calls_in_nodes(list(ast.iter_child_nodes(stmt))))
-
-    def _calls_in_expr(self, expr: ast.expr) -> PersistEffect:
-        return self._calls_in_nodes([expr])
-
-    def _calls_in_nodes(self, roots: List[ast.AST]) -> PersistEffect:
-        calls: List[ast.Call] = []
-        stack = list(roots)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _SCOPE_TYPES):
-                continue
-            stack.extend(ast.iter_child_nodes(node))
-            if isinstance(node, ast.Call):
-                calls.append(node)
-        calls.sort(key=lambda c: (c.lineno, c.col_offset))
-        acc = _P_IDENTITY
-        for call in calls:
-            acc = _p_compose(acc, self._call_effect(call))
-        return acc
-
-    def _call_effect(self, call: ast.Call) -> PersistEffect:
+    def call_effect(self, walk: _Walk, call: ast.Call) -> PersistEffect:
         attr = call.func.attr if isinstance(call.func, ast.Attribute) else None
-        if attr == _PERSIST_COMMIT_ATTR:
+        if attr == PERSIST_COMMIT_ATTR:
             return PersistEffect(commits=True)
-        if attr in _PERSIST_APPLY_ATTRS:
-            if self.allowed.allow(
-                (call.lineno, call.lineno - 1), RULE_FLOW_PERSIST
-            ):
-                return _P_IDENTITY
-            hop = Hop(
-                fid=self.func.fid,
-                path=self.func.path,
-                line=call.lineno,
-                note=f"journaled mutation {attr}()",
+        if attr in PERSIST_APPLY_ATTRS:
+            if walk.allowed.allow((call.lineno, call.lineno - 1), RULE_FLOW_PERSIST):
+                return self.identity
+            return PersistEffect(
+                pre_applies=((walk.hop(call, f"journaled mutation {attr}()"),),)
             )
-            return PersistEffect(pre_applies=((hop,),))
-        site = self.sites.get(id(call))
+        site = walk.sites.get(id(call))
         if site is None or not site.targets:
-            return _P_IDENTITY
+            return self.identity
         commits = False
         pre: List[Tuple[Hop, ...]] = []
         for target in site.targets:
-            effect = self.effects.get(target, _P_IDENTITY)
+            effect = self.effects.get(target, self.identity)
             commits = commits or effect.commits
             for chain in effect.pre_applies:
-                hop = Hop(
-                    fid=self.func.fid,
-                    path=self.func.path,
-                    line=call.lineno,
-                    note=f"calls {site.raw}",
-                )
-                pre.append(((hop, *chain))[:_MAX_CHAIN])
+                hop = walk.hop(call, f"calls {site.raw}")
+                pre.append((hop, *chain)[:_MAX_CHAIN])
         return PersistEffect(commits=commits, pre_applies=tuple(pre))
+
+    def finish(self, func: FunctionNode, effect: PersistEffect) -> PersistEffect:
+        if func.name in PERSIST_APPLY_ATTRS:
+            return PersistEffect(commits=effect.commits)
+        return effect
 
 
 # ---------------------------------------------------------------------------
-# Fixpoint driver
+# Fixpoint driver and findings
 # ---------------------------------------------------------------------------
 @dataclass
 class ProtocolResult:
@@ -425,10 +353,6 @@ class ProtocolResult:
     callers: Dict[str, Set[str]] = field(default_factory=dict)
 
 
-def _sites_by_node(graph: CallGraph, fid: str) -> Dict[int, CallSite]:
-    return {id(site.node): site for site in graph.calls.get(fid, ())}
-
-
 def compute_protocols(graph: CallGraph) -> ProtocolResult:
     """Evaluate both protocols to a fixpoint over the call graph."""
     result = ProtocolResult()
@@ -437,41 +361,85 @@ def compute_protocols(graph: CallGraph) -> ProtocolResult:
         edges[fid] = [t for t in graph.callees(fid) if t in graph.functions]
         for target in edges[fid]:
             result.callers.setdefault(target, set()).add(fid)
-    components = strongly_connected(list(graph.functions), edges)
-    site_cache = {fid: _sites_by_node(graph, fid) for fid in graph.functions}
-    for component in components:
-        for _ in range(_MAX_FIXPOINT_PASSES):
-            changed = False
-            for fid in component:
-                func = graph.functions[fid]
-                tlb = _TlbEvaluator(
-                    graph, func, result.tlb, site_cache[fid]
-                ).run()
-                persist = _PersistEvaluator(
-                    graph, func, result.persist, site_cache[fid]
-                ).run()
-                if func.name in _PERSIST_APPLY_ATTRS:
-                    # The apply implementations are the primitive, not a
-                    # violation of it (mirrors the intra rule).
-                    persist = PersistEffect(commits=persist.commits)
-                if (
-                    result.tlb.get(fid) != tlb
-                    or result.persist.get(fid) != persist
-                ):
-                    changed = True
-                result.tlb[fid] = tlb
-                result.persist[fid] = persist
-            if not changed:
-                break
+    tlb, persist = TlbDomain(result.tlb), PersistDomain(result.persist)
+    for component in strongly_connected(list(graph.functions), edges):
+        walks = [
+            _Walk(graph, graph.functions[fid], {id(s.node): s for s in graph.calls.get(fid, ())})
+            for fid in component
+        ]
+        passes = _MAX_FIXPOINT_PASSES if is_cyclic(component, edges) else 1
+        _fixpoint(tlb, walks, passes)
+        _fixpoint(persist, walks, passes)
     return result
 
 
-def persist_roots(graph: CallGraph, result: ProtocolResult) -> List[str]:
-    """Functions no one in the package calls — where pre-commit applies
-    surface as findings (plus anything explicitly marked an entry by the
-    caller)."""
-    return [
-        fid
-        for fid in graph.functions
-        if not result.callers.get(fid)
-    ]
+def _fixpoint(domain: Domain[E], walks: List[_Walk], passes: int) -> None:
+    for _ in range(passes):
+        changed = False
+        for walk in walks:
+            effect = domain.evaluate(walk)
+            if domain.effects.get(walk.func.fid) != effect:
+                changed = True
+            domain.effects[walk.func.fid] = effect
+        if not changed:
+            break
+
+
+def protocol_findings(
+    graph: CallGraph, protocols: ProtocolResult, entries: Sequence[str]
+) -> List[Finding]:
+    """Stale translations at the entries; pre-commit applies at roots."""
+    findings: List[Finding] = []
+    allows = graph.allows["o1"]
+    for entry in entries:
+        effect = protocols.tlb.get(entry)
+        func = graph.functions[entry]
+        if effect is None or not effect.gen:
+            continue
+        if allows[func.path].allow((func.lineno,), RULE_STALE_TRANSLATION):
+            continue
+        findings.append(
+            Finding(
+                path=func.path,
+                line=effect.chain[0].line if effect.chain else func.lineno,
+                module=func.module,
+                qualname=func.qualname,
+                rule=RULE_STALE_TRANSLATION,
+                message=(
+                    "page-table mutation can reach the syscall return with "
+                    "no TLB/rTLB/premap invalidation on any later path"
+                ),
+                chain=effect.chain,
+            )
+        )
+    # Roots: functions no one in the package calls, plus the entries.
+    roots = {fid for fid in graph.functions if not protocols.callers.get(fid)}
+    seen: Set[Tuple[str, str, int]] = set()
+    for root in sorted(roots | set(entries)):
+        persist = protocols.persist.get(root)
+        func = graph.functions[root]
+        if persist is None or not persist.pre_applies:
+            continue
+        if allows[func.path].allow((func.lineno,), RULE_FLOW_PERSIST):
+            continue
+        for chain in persist.pre_applies:
+            key = (root, chain[-1].path, chain[-1].line)
+            if key in seen:
+                continue
+            seen.add(key)
+            findings.append(
+                Finding(
+                    path=func.path,
+                    line=chain[0].line,
+                    module=func.module,
+                    qualname=func.qualname,
+                    rule=RULE_FLOW_PERSIST,
+                    message=(
+                        "journaled mutation can apply with no "
+                        "_journal_commit() anywhere on the path from this "
+                        "protocol root"
+                    ),
+                    chain=chain,
+                )
+            )
+    return findings

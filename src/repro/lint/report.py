@@ -3,7 +3,8 @@
 Two consumers: humans (``render_text`` — what ``repro-o1 lint`` prints)
 and machines (``build_report`` / ``write_json`` — the
 ``lint_report.json`` artifact CI archives next to benchmark results, so
-fitted exponents can be tracked across commits).
+fitted exponents can be tracked across commits).  Every static section
+renders through the same finding serializer and section builder.
 """
 
 from __future__ import annotations
@@ -12,21 +13,32 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.lint.astcheck import LintResult, Violation
-from repro.lint.baseline import BaselineOutcome
+from repro.lint.findings import Finding, Section
 from repro.lint.ops import OperationFit
 
 if TYPE_CHECKING:
-    from repro.lint.alloc import AllocFinding, AllocResult
     from repro.lint.allocfit import AllocFitResult
-    from repro.lint.flow import FlowFinding, FlowResult
+    from repro.lint.flow import LintRun
 
-#: v2 added the ``flow`` section (``lint --interproc``); v3 added the
-#: ``alloc`` section (``lint --alloc``: AllocSan + empirical cross-check).
-REPORT_VERSION = 3
+#: v2 added the ``flow`` section, v3 the ``alloc`` section; v4 renders
+#: all three static sections alike, always (one finding shape, one
+#: baseline routed by rule, flat per-section stats).
+REPORT_VERSION = 4
+
+#: First text line of each section, formatted with its stats.
+_HEADLINES = {
+    "lint": "o1 lint: {functions_checked} declared functions across "
+    "{files_checked} files, {inline_suppressed} inline-suppressed",
+    "flow": "o1 flow: {functions} functions across {files} files, "
+    "{call_sites_resolved}/{call_sites_total} call sites resolved, "
+    "{entries} hot-path entries",
+    "alloc": "o1 alloc: {hot_reachable} functions in the hot closure of "
+    "{entries} entries, {declared_allocfree} @allocfree + "
+    "{declared_allocbound} @allocbound declared",
+}
 
 
-def _flow_finding_dict(finding: "FlowFinding") -> Dict[str, object]:
+def _finding_dict(finding: Finding) -> Dict[str, object]:
     return {
         "function": finding.function,
         "rule": finding.rule,
@@ -34,170 +46,50 @@ def _flow_finding_dict(finding: "FlowFinding") -> Dict[str, object]:
         "line": finding.line,
         "message": finding.message,
         "chain": [
-            {
-                "function": hop.fid,
-                "path": hop.path,
-                "line": hop.line,
-                "note": hop.note,
-            }
+            {"function": hop.fid, "path": hop.path, "line": hop.line, "note": hop.note}
             for hop in finding.chain
         ],
     }
 
 
-def _alloc_finding_dict(finding: "AllocFinding") -> Dict[str, object]:
+def _section_dict(section: Section) -> Dict[str, object]:
+    assert section.outcome is not None
     return {
-        "function": finding.function,
-        "rule": finding.rule,
-        "path": finding.path,
-        "line": finding.line,
-        "message": finding.message,
-        "chain": [
-            {
-                "function": hop.fid,
-                "path": hop.path,
-                "line": hop.line,
-                "note": hop.note,
-            }
-            for hop in finding.chain
+        **section.stats,
+        "entries": list(section.entries),
+        "findings": [_finding_dict(f) for f in section.outcome.new],
+        "baseline_suppressed": [
+            _finding_dict(f) for f in section.outcome.suppressed
+        ],
+        "stale_baseline_entries": [
+            {"function": e.function, "rule": e.rule, "reason": e.reason}
+            for e in section.outcome.stale
+        ],
+        "controls_verified": [
+            {"function": f.function, "rule": f.rule}
+            for f in section.controls_verified
+        ],
+        "stale_suppressions": [
+            {"path": s.path, "line": s.line, "rules": list(s.rules)}
+            for s in section.stale_suppressions
         ],
     }
 
 
 def build_report(
-    lint: LintResult,
-    outcome: BaselineOutcome[Violation],
+    run: "LintRun",
     fits: Optional[Sequence[OperationFit]] = None,
     *,
     sizes: Optional[Sequence[int]] = None,
-    flow: Optional["FlowResult"] = None,
-    flow_outcome: Optional["BaselineOutcome[FlowFinding]"] = None,
-    alloc: Optional["AllocResult"] = None,
-    alloc_outcome: Optional["BaselineOutcome[AllocFinding]"] = None,
     allocfit_results: Optional[Sequence["AllocFitResult"]] = None,
 ) -> Dict[str, object]:
     """Assemble the machine-readable conformance report."""
     report: Dict[str, object] = {
         "version": REPORT_VERSION,
         "tool": "repro-o1 lint",
-        "lint": {
-            "files_checked": lint.files_checked,
-            "functions_checked": lint.functions_checked,
-            "inline_suppressed": lint.inline_suppressed,
-            "baseline_suppressed": [
-                {
-                    "function": v.function,
-                    "rule": v.rule,
-                    "path": str(v.path),
-                    "line": v.line,
-                }
-                for v in outcome.suppressed
-            ],
-            "violations": [
-                {
-                    "function": v.function,
-                    "rule": v.rule,
-                    "declared": str(v.declared) if v.declared is not None else None,
-                    "path": str(v.path),
-                    "line": v.line,
-                    "message": v.message,
-                }
-                for v in outcome.new
-            ],
-            "stale_baseline_entries": [
-                {"function": e.function, "rule": e.rule, "reason": e.reason}
-                for e in outcome.stale
-            ],
-        },
     }
-    if flow is not None:
-        flow_new = flow_outcome.new if flow_outcome is not None else flow.findings
-        flow_suppressed = (
-            flow_outcome.suppressed if flow_outcome is not None else []
-        )
-        flow_stale = flow_outcome.stale if flow_outcome is not None else []
-        report["flow"] = {
-            "entries": list(flow.entries),
-            "files": flow.files,
-            "functions": flow.functions,
-            "call_sites": {
-                "total": flow.sites_total,
-                "resolved": flow.sites_resolved,
-            },
-            "findings": [_flow_finding_dict(f) for f in flow_new],
-            "baseline_suppressed": [
-                _flow_finding_dict(f) for f in flow_suppressed
-            ],
-            "stale_baseline_entries": [
-                {"function": e.function, "rule": e.rule, "reason": e.reason}
-                for e in flow_stale
-            ],
-            "controls_verified": [
-                {"function": f.function, "rule": f.rule}
-                for f in flow.controls_verified
-            ],
-            "stale_suppressions": [
-                {
-                    "path": s.path,
-                    "line": s.line,
-                    "rules": list(s.rules),
-                }
-                for s in flow.stale_suppressions
-            ],
-        }
-    if alloc is not None:
-        alloc_new = (
-            alloc_outcome.new if alloc_outcome is not None else alloc.findings
-        )
-        alloc_suppressed = (
-            alloc_outcome.suppressed if alloc_outcome is not None else []
-        )
-        alloc_stale = alloc_outcome.stale if alloc_outcome is not None else []
-        alloc_section: Dict[str, object] = {
-            "entries": list(alloc.entries),
-            "files": alloc.files,
-            "functions": alloc.functions,
-            "hot_reachable": alloc.hot_reachable,
-            "declared_allocfree": alloc.declared_allocfree,
-            "declared_allocbound": alloc.declared_allocbound,
-            "findings": [_alloc_finding_dict(f) for f in alloc_new],
-            "baseline_suppressed": [
-                _alloc_finding_dict(f) for f in alloc_suppressed
-            ],
-            "stale_baseline_entries": [
-                {"function": e.function, "rule": e.rule, "reason": e.reason}
-                for e in alloc_stale
-            ],
-            "controls_verified": [
-                {"function": f.function, "rule": f.rule}
-                for f in alloc.controls_verified
-            ],
-            "stale_suppressions": [
-                {
-                    "path": s.path,
-                    "line": s.line,
-                    "rules": list(s.rules),
-                }
-                for s in alloc.stale_suppressions
-            ],
-        }
-        if allocfit_results is not None:
-            alloc_section["allocfit"] = [
-                {
-                    "name": r.name,
-                    "calls": r.calls,
-                    "net_bytes": r.net_bytes,
-                    "per_call_bytes": round(r.per_call_bytes, 4),
-                    "gc_delta": list(r.gc_delta),
-                    "expect_growth": r.expect_growth,
-                    "grew": r.grew,
-                    "uncertified": list(r.uncertified),
-                    "ok": r.ok,
-                    "note": r.note,
-                }
-                for r in allocfit_results
-            ]
-        report["alloc"] = alloc_section
+    for section in run.sections:
+        report[section.name] = _section_dict(section)
     if fits is not None:
         report["fit"] = {
             "sizes": list(sizes) if sizes is not None else None,
@@ -219,6 +111,22 @@ def build_report(
                 for f in fits
             ],
         }
+    if allocfit_results is not None:
+        report["allocfit"] = [
+            {
+                "name": r.name,
+                "calls": r.calls,
+                "net_bytes": r.net_bytes,
+                "per_call_bytes": round(r.per_call_bytes, 4),
+                "gc_delta": list(r.gc_delta),
+                "expect_growth": r.expect_growth,
+                "grew": r.grew,
+                "uncertified": list(r.uncertified),
+                "ok": r.ok,
+                "note": r.note,
+            }
+            for r in allocfit_results
+        ]
     return report
 
 
@@ -227,109 +135,51 @@ def write_json(path: Path, report: Dict[str, object]) -> None:
     path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
 
+def _section_lines(section: Section) -> List[str]:
+    outcome = section.outcome
+    assert outcome is not None
+    stale = len(outcome.stale)
+    headline = _HEADLINES[section.name].format(
+        **section.stats, entries=len(section.entries)
+    )
+    tally = (
+        f"  {len(outcome.new)} finding(s), "
+        f"{len(outcome.suppressed)} baseline-suppressed, "
+        f"{stale} stale baseline entr{'y' if stale == 1 else 'ies'}"
+    )
+    if section.controls:
+        tally += (
+            f", {len(section.controls_verified)}/{len(section.controls)} "
+            "controls verified"
+        )
+    tally += f", {len(section.stale_suppressions)} stale suppression(s)"
+    lines = [headline, tally]
+    lines.extend(f"  FINDING {finding.format()}" for finding in outcome.new)
+    lines.extend(
+        f"  STALE baseline entry {entry.function} [{entry.rule}] — "
+        "finding no longer occurs; remove it"
+        for entry in outcome.stale
+    )
+    lines.extend(f"  STALE {s.format()}" for s in section.stale_suppressions)
+    return lines
+
+
 def render_text(
-    lint: LintResult,
-    outcome: BaselineOutcome[Violation],
+    run: "LintRun",
     fits: Optional[Sequence[OperationFit]] = None,
     *,
-    flow: Optional["FlowResult"] = None,
-    flow_outcome: Optional["BaselineOutcome[FlowFinding]"] = None,
-    alloc: Optional["AllocResult"] = None,
-    alloc_outcome: Optional["BaselineOutcome[AllocFinding]"] = None,
     allocfit_results: Optional[Sequence["AllocFitResult"]] = None,
 ) -> str:
     """Human-readable conformance summary."""
     lines: List[str] = []
-    lines.append(
-        f"o1 lint: {lint.functions_checked} declared functions across "
-        f"{lint.files_checked} files"
-    )
-    lines.append(
-        f"  {len(outcome.new)} violation(s), "
-        f"{len(outcome.suppressed)} baseline-suppressed, "
-        f"{lint.inline_suppressed} inline-suppressed, "
-        f"{len(outcome.stale)} stale baseline entr"
-        f"{'y' if len(outcome.stale) == 1 else 'ies'}"
-    )
-    for violation in outcome.new:
-        lines.append(f"  VIOLATION {violation.format()}")
-    for entry in outcome.stale:
-        lines.append(
-            f"  STALE baseline entry {entry.function} [{entry.rule}] — "
-            "finding no longer occurs; remove it"
-        )
-    if flow is not None:
-        from repro.lint.flow import CONTROLS
-
-        flow_new = flow_outcome.new if flow_outcome is not None else flow.findings
-        flow_suppressed = (
-            flow_outcome.suppressed if flow_outcome is not None else []
-        )
-        flow_stale = flow_outcome.stale if flow_outcome is not None else []
+    for section in run.sections:
+        if lines:
+            lines.append("")
+        lines.extend(_section_lines(section))
+    if allocfit_results is not None:
         lines.append("")
-        lines.append(
-            f"o1 flow: {flow.functions} functions across {flow.files} files, "
-            f"{flow.sites_resolved}/{flow.sites_total} call sites resolved, "
-            f"{len(flow.entries)} hot-path entries"
-        )
-        lines.append(
-            f"  {len(flow_new)} finding(s), "
-            f"{len(flow_suppressed)} baseline-suppressed, "
-            f"{len(flow_stale)} stale baseline entr"
-            f"{'y' if len(flow_stale) == 1 else 'ies'}, "
-            f"{len(flow.controls_verified)}/{len(CONTROLS)} controls verified, "
-            f"{len(flow.stale_suppressions)} stale suppression(s)"
-        )
-        for finding in flow_new:
-            lines.append(f"  FINDING {finding.format()}")
-        for entry in flow_stale:
-            lines.append(
-                f"  STALE flow baseline entry {entry.function} "
-                f"[{entry.rule}] — finding no longer occurs; remove it"
-            )
-        for suppression in flow.stale_suppressions:
-            lines.append(f"  STALE {suppression.format()}")
-    if alloc is not None:
-        from repro.lint.alloc import ALLOC_CONTROLS
-
-        alloc_new = (
-            alloc_outcome.new if alloc_outcome is not None else alloc.findings
-        )
-        alloc_suppressed = (
-            alloc_outcome.suppressed if alloc_outcome is not None else []
-        )
-        alloc_stale = alloc_outcome.stale if alloc_outcome is not None else []
-        lines.append("")
-        lines.append(
-            f"o1 alloc: {alloc.hot_reachable} functions in the hot closure "
-            f"of {len(alloc.entries)} entries, "
-            f"{alloc.declared_allocfree} @allocfree + "
-            f"{alloc.declared_allocbound} @allocbound declared"
-        )
-        lines.append(
-            f"  {len(alloc_new)} finding(s), "
-            f"{len(alloc_suppressed)} baseline-suppressed, "
-            f"{len(alloc_stale)} stale baseline entr"
-            f"{'y' if len(alloc_stale) == 1 else 'ies'}, "
-            f"{len(alloc.controls_verified)}/{len(ALLOC_CONTROLS)} "
-            f"controls verified, "
-            f"{len(alloc.stale_suppressions)} stale suppression(s)"
-        )
-        for finding in alloc_new:
-            lines.append(f"  FINDING {finding.format()}")
-        for entry in alloc_stale:
-            lines.append(
-                f"  STALE alloc baseline entry {entry.function} "
-                f"[{entry.rule}] — finding no longer occurs; remove it"
-            )
-        for suppression in alloc.stale_suppressions:
-            lines.append(f"  STALE {suppression.format()}")
-        if allocfit_results is not None:
-            lines.append(
-                f"  allocfit: {len(allocfit_results)} op(s) cross-checked"
-            )
-            for result in allocfit_results:
-                lines.append(f"    {result.format()}")
+        lines.append(f"o1 allocfit: {len(allocfit_results)} op(s) cross-checked")
+        lines.extend(f"  {result.format()}" for result in allocfit_results)
     if fits is not None:
         lines.append("")
         lines.append(f"o1 fit: {len(fits)} operation(s)")

@@ -9,9 +9,9 @@ inode has an open, uncommitted record: the journal commit must be
 durable before dependent data is.
 
 The dynamic checks here are cross-checked statically by the
-``persist-outside-txn`` rule in :mod:`repro.lint.astcheck`, which flags
-call sites of the ``_apply_*`` family in functions that never issued a
-journal commit beforehand.
+``flow-persist-outside-txn`` rule in :mod:`repro.lint.protocols`, which
+flags any path on which an ``_apply_*`` call can run with no journal
+commit before it, across call boundaries.
 """
 
 from __future__ import annotations

@@ -651,6 +651,8 @@ class AddressSpace:
         self._pt.map(page_va, new_pfn, writable=True)
         if self._frame_table is not None:
             self._frame_table.get_ref(new_pfn)
+        if self.lru is not None:
+            self.lru.page_moved(old.pfn, new_pfn, self, page_va)
         self.fault_stats[FaultType.COW] += 1
         self._counters.bump(FaultType.COW.counter_name)
 

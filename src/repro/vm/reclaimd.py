@@ -62,6 +62,34 @@ class LruLists:
         if meta is not None:
             meta.lru_list = "inactive"
 
+    def page_moved(
+        self, old_pfn: int, new_pfn: int, space: object, vaddr: int
+    ) -> None:
+        """``(space, vaddr)`` now maps ``new_pfn`` (a COW break's copy).
+
+        Its entry follows the copy, keeping list position and label; the
+        old frame stays mapped only by sharers that never faulted it in,
+        so it leaves the lists.
+        """
+        entry = self._entries.get(old_pfn)
+        if entry is None or entry.space is not space or entry.vaddr != vaddr:
+            self.page_mapped(new_pfn, space, vaddr)
+            return
+        if new_pfn in self._entries:
+            # The copy's frame still carries a departed owner's entry.
+            self.page_unmapped(old_pfn)
+            self.page_mapped(new_pfn, space, vaddr)
+            return
+        del self._entries[old_pfn]
+        entry.pfn = new_pfn
+        self._entries[new_pfn] = entry
+        old_meta = self._frame_table.peek(old_pfn)
+        new_meta = self._frame_table.peek(new_pfn)
+        if new_meta is not None:
+            new_meta.lru_list = old_meta.lru_list if old_meta else "inactive"
+        if old_meta is not None:
+            old_meta.lru_list = ""
+
     def page_unmapped(self, pfn: int) -> None:
         """Forget a page that went away outside reclaim (munmap)."""
         entry = self._entries.pop(pfn, None)

@@ -169,3 +169,18 @@ def aligned_kernel() -> Kernel:
             pmfs_extent_align_frames=512,
         )
     )
+
+
+@pytest.fixture(scope="session")
+def real_lint_run():
+    """One static ``repro-o1 lint`` run over the shipped tree.
+
+    Shared read-only by the real-tree gates (conformance, flow, alloc):
+    the run is deterministic, so one parse serves them all.
+    """
+    from pathlib import Path
+
+    import repro
+    from repro.lint.flow import run_lint
+
+    return run_lint(Path(repro.__file__).resolve().parent)

@@ -2,9 +2,9 @@
 
 Covers the shape classifier, the lattice scaling, interprocedural
 propagation over the call graph, cold-call mechanics, the hot-closure
-gate, the never-ratchetable baseline rule, the ``alloc`` section of
-``lint_report.json`` (schema v3) — and the mutants the pass exists to
-catch, pinned against the real tree.
+gate, the never-ratchetable baseline rules, the ``alloc`` section of
+``lint_report.json`` — and the mutants the pass exists to catch, pinned
+against the real tree.
 """
 
 import json
@@ -16,19 +16,14 @@ from pathlib import Path
 import pytest
 
 from repro.lint.alloc import (
-    ALLOC_ALLOWABLE_RULES,
     ALLOC_CONTROLS,
-    DEFAULT_ALLOC_BASELINE,
     RULE_ALLOC_CONTROL_MISSING,
     RULE_ALLOC_EXCEEDS,
     RULE_ALLOC_HOT,
     AllocClass,
-    _scale,
-    load_alloc_baseline,
-    run_alloc,
 )
-from repro.lint.astcheck import lint_tree
-from repro.lint.baseline import apply_baseline, load_baseline
+from repro.lint.findings import DEFAULT_BASELINE, load_baseline
+from repro.lint.flow import BASELINE_RULES, UNBASELINABLE_RULES, run_lint
 from repro.lint.report import REPORT_VERSION, build_report, render_text
 
 REPRO_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -46,8 +41,12 @@ def make_pkg(tmp_path: Path, files: dict) -> Path:
     return pkg
 
 
-def alloc(pkg: Path):
-    return run_alloc(pkg, package="pkg")
+def alloc(pkg: Path, baseline: Path = DEFAULT_BASELINE):
+    return run_lint(pkg, package="pkg", baseline=baseline).section("alloc")
+
+
+def load(path: Path):
+    return load_baseline(path, BASELINE_RULES, UNBASELINABLE_RULES)
 
 
 def real_findings(result):
@@ -73,14 +72,14 @@ class TestLattice:
         )
 
     def test_none_never_scales(self):
-        assert _scale(AllocClass.NONE, 3) is AllocClass.NONE
+        assert AllocClass.NONE.scale(3) is AllocClass.NONE
 
     def test_bounded_in_one_loop_is_per_element(self):
-        assert _scale(AllocClass.BOUNDED, 1) is AllocClass.PER_ELEMENT
+        assert AllocClass.BOUNDED.scale(1) is AllocClass.PER_ELEMENT
 
     def test_anything_two_deep_is_unbounded(self):
-        assert _scale(AllocClass.BOUNDED, 2) is AllocClass.UNBOUNDED
-        assert _scale(AllocClass.PER_ELEMENT, 1) is AllocClass.UNBOUNDED
+        assert AllocClass.BOUNDED.scale(2) is AllocClass.UNBOUNDED
+        assert AllocClass.PER_ELEMENT.scale(1) is AllocClass.UNBOUNDED
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +324,7 @@ class TestHotClosure:
         # The chain walks entry -> callee -> witness.
         assert probe.chain[0].fid == "pkg.mod.Tlb.lookup"
         assert result.entries == ["pkg.mod.Tlb.lookup"]
-        assert result.hot_reachable == 2
+        assert result.stats["hot_reachable"] == 2
 
     def test_declaring_the_function_moves_the_judgment(self, tmp_path):
         """Once declared, the hot rule yields to exceeds-declared — the
@@ -374,7 +373,7 @@ class TestAllocBaseline:
     def test_exceeds_round_trip(self, tmp_path):
         result = alloc(self._exceeding_pkg(tmp_path))
         (finding,) = real_findings(result)
-        baseline_path = tmp_path / "alloc_baseline.json"
+        baseline_path = tmp_path / "baseline.json"
         baseline_path.write_text(json.dumps({
             "version": 1,
             "entries": [{
@@ -383,13 +382,12 @@ class TestAllocBaseline:
                 "reason": "pinned for the round-trip test",
             }],
         }))
-        entries = load_alloc_baseline(baseline_path)
-        outcome = apply_baseline(result.findings, entries)
+        outcome = alloc(self._exceeding_pkg(tmp_path), baseline_path).outcome
         assert outcome.suppressed == [finding]
         assert outcome.stale == []
 
     def test_hot_rule_rejected(self, tmp_path):
-        baseline_path = tmp_path / "alloc_baseline.json"
+        baseline_path = tmp_path / "baseline.json"
         baseline_path.write_text(json.dumps({
             "version": 1,
             "entries": [{
@@ -399,10 +397,10 @@ class TestAllocBaseline:
             }],
         }))
         with pytest.raises(ValueError, match="cannot be baselined"):
-            load_alloc_baseline(baseline_path)
+            load(baseline_path)
 
     def test_control_missing_rule_rejected(self, tmp_path):
-        baseline_path = tmp_path / "alloc_baseline.json"
+        baseline_path = tmp_path / "baseline.json"
         baseline_path.write_text(json.dumps({
             "version": 1,
             "entries": [{
@@ -412,10 +410,10 @@ class TestAllocBaseline:
             }],
         }))
         with pytest.raises(ValueError, match="cannot be baselined"):
-            load_alloc_baseline(baseline_path)
+            load(baseline_path)
 
     def test_unknown_rule_rejected(self, tmp_path):
-        baseline_path = tmp_path / "alloc_baseline.json"
+        baseline_path = tmp_path / "baseline.json"
         baseline_path.write_text(json.dumps({
             "version": 1,
             "entries": [{
@@ -425,11 +423,10 @@ class TestAllocBaseline:
             }],
         }))
         with pytest.raises(ValueError, match="unknown rule"):
-            load_baseline(baseline_path, known_rules=ALLOC_ALLOWABLE_RULES)
+            load(baseline_path)
 
     def test_stale_entry_detected(self, tmp_path):
-        result = alloc(self._exceeding_pkg(tmp_path))
-        baseline_path = tmp_path / "alloc_baseline.json"
+        baseline_path = tmp_path / "baseline.json"
         baseline_path.write_text(json.dumps({
             "version": 1,
             "entries": [{
@@ -438,17 +435,16 @@ class TestAllocBaseline:
                 "reason": "the function this pinned was deleted",
             }],
         }))
-        entries = load_alloc_baseline(baseline_path)
-        outcome = apply_baseline(result.findings, entries)
+        outcome = alloc(self._exceeding_pkg(tmp_path), baseline_path).outcome
         assert [e.function for e in outcome.stale] == ["pkg.mod.gone"]
 
     def test_shipped_baseline_is_empty(self):
-        document = json.loads(DEFAULT_ALLOC_BASELINE.read_text())
+        document = json.loads(DEFAULT_BASELINE.read_text())
         assert document["entries"] == []
 
 
 # ---------------------------------------------------------------------------
-# Report: schema v3
+# Report
 # ---------------------------------------------------------------------------
 class TestAllocReport:
     def _fixture(self, tmp_path):
@@ -462,22 +458,17 @@ class TestAllocReport:
             def helper(x):
                 return [i for i in x]
         """})
-        return lint_tree(pkg), alloc(pkg)
+        return run_lint(pkg, package="pkg")
 
     def test_alloc_section_schema(self, tmp_path):
-        intra, result = self._fixture(tmp_path)
-        outcome = apply_baseline(intra.violations, [])
-        alloc_outcome = apply_baseline(result.findings, [])
-        report = build_report(
-            intra, outcome, alloc=result, alloc_outcome=alloc_outcome
-        )
-        assert report["version"] == REPORT_VERSION == 3
+        report = build_report(self._fixture(tmp_path))
+        assert report["version"] == REPORT_VERSION == 4
         section = report["alloc"]
         assert set(section) == {
-            "entries", "files", "functions", "hot_reachable",
-            "declared_allocfree", "declared_allocbound", "findings",
-            "baseline_suppressed", "stale_baseline_entries",
-            "controls_verified", "stale_suppressions",
+            "entries", "hot_reachable", "declared_allocfree",
+            "declared_allocbound", "findings", "baseline_suppressed",
+            "stale_baseline_entries", "controls_verified",
+            "stale_suppressions",
         }
         (finding,) = [
             f for f in section["findings"] if f["rule"] == RULE_ALLOC_EXCEEDS
@@ -490,29 +481,22 @@ class TestAllocReport:
     def test_allocfit_results_serialised(self, tmp_path):
         from repro.lint.allocfit import AllocFitResult
 
-        intra, result = self._fixture(tmp_path)
-        outcome = apply_baseline(intra.violations, [])
         fit = AllocFitResult(
             name="access.tlb_hit", calls=4096, net_bytes=164,
             per_call_bytes=0.04, gc_delta=(3, 0, 0), expect_growth=False,
             grew=False, uncertified=(), ok=True, note="",
         )
         report = build_report(
-            intra, outcome, alloc=result, allocfit_results=[fit]
+            self._fixture(tmp_path), allocfit_results=[fit]
         )
-        (row,) = report["alloc"]["allocfit"]
+        (row,) = report["allocfit"]
         assert row["name"] == "access.tlb_hit"
         assert row["ok"] is True
         assert row["gc_delta"] == [3, 0, 0]
         json.dumps(report)  # the whole document must be serialisable
 
     def test_render_text_shows_alloc_section(self, tmp_path):
-        intra, result = self._fixture(tmp_path)
-        outcome = apply_baseline(intra.violations, [])
-        alloc_outcome = apply_baseline(result.findings, [])
-        text = render_text(
-            intra, outcome, alloc=result, alloc_outcome=alloc_outcome
-        )
+        text = render_text(self._fixture(tmp_path))
         assert "o1 alloc:" in text
         assert "FINDING" in text
         assert "pkg.mod.helper" in text  # the witness hop, not just the root
@@ -523,8 +507,8 @@ class TestAllocReport:
 # ---------------------------------------------------------------------------
 class TestRealTree:
     @pytest.fixture(scope="class")
-    def real_alloc(self):
-        return run_alloc(REPRO_ROOT)
+    def real_alloc(self, real_lint_run):
+        return real_lint_run.section("alloc")
 
     def test_tree_is_clean_with_empty_baseline(self, real_alloc):
         assert real_alloc.findings == []
@@ -549,9 +533,9 @@ class TestRealTree:
         }
 
     def test_closure_is_declared_and_nontrivial(self, real_alloc):
-        assert real_alloc.hot_reachable >= 15
-        assert real_alloc.declared_allocfree >= 10
-        assert real_alloc.declared_allocbound >= 5
+        assert real_alloc.stats["hot_reachable"] >= 15
+        assert real_alloc.stats["declared_allocfree"] >= 10
+        assert real_alloc.stats["declared_allocbound"] >= 5
 
     def test_comprehension_in_certified_hot_fn_goes_red(self, tmp_path):
         """Mutant: plant a list comprehension in @allocfree
@@ -567,7 +551,7 @@ class TestRealTree:
         )
         assert mutated != source, "mutation target not found"
         target.write_text(mutated)
-        result = run_alloc(mutant_root)
+        result = run_lint(mutant_root).section("alloc")
         flagged = [
             f for f in result.findings if f.rule == RULE_ALLOC_EXCEEDS
         ]
@@ -589,7 +573,7 @@ class TestRealTree:
         )
         assert mutated != source, "mutation target not found"
         target.write_text(mutated)
-        result = run_alloc(mutant_root)
+        result = run_lint(mutant_root).section("alloc")
         flagged = [f for f in result.findings if f.rule == RULE_ALLOC_HOT]
         assert any(
             f.function == "repro.hw.cpu.Cpu.access_range" for f in flagged

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.astcheck import lint_source, lint_tree, module_name_for
-from repro.lint.baseline import apply_baseline, load_baseline
+from repro.lint.astcheck import ALL_RULES, lint_source, module_name_for
+from repro.lint.findings import apply_baseline, load_baseline
+from repro.lint.flow import run_lint
 
 
 def lint(source: str):
@@ -231,10 +232,10 @@ class TestTreeAndBaseline:
             "from repro.lint import o1\n\n@o1\ndef b(pages):\n"
             "    for p in pages:\n        x(p)\n"
         )
-        result = lint_tree(pkg, package="pkg")
-        assert result.files_checked == 2
-        assert result.functions_checked == 2
-        assert [v.function for v in result.violations] == ["pkg.bad.b"]
+        section = run_lint(pkg, package="pkg").section("lint")
+        assert section.stats["files_checked"] == 2
+        assert section.stats["functions_checked"] == 2
+        assert [v.function for v in section.findings] == ["pkg.bad.b"]
 
     def test_baseline_suppresses_known_violation(self, tmp_path):
         result = lint(
@@ -263,7 +264,7 @@ class TestTreeAndBaseline:
             )
         )
         outcome = apply_baseline(
-            result.violations, load_baseline(baseline_path)
+            result.violations, load_baseline(baseline_path, ALL_RULES)
         )
         assert outcome.new == []
         assert len(outcome.suppressed) == 1
@@ -285,7 +286,7 @@ class TestTreeAndBaseline:
                 }
             )
         )
-        outcome = apply_baseline([], load_baseline(baseline_path))
+        outcome = apply_baseline([], load_baseline(baseline_path, ALL_RULES))
         assert [e.function for e in outcome.stale] == ["synthetic.gone"]
 
     def test_baseline_requires_reason(self, tmp_path):
@@ -301,7 +302,7 @@ class TestTreeAndBaseline:
             )
         )
         with pytest.raises(ValueError, match="needs a reason"):
-            load_baseline(baseline_path)
+            load_baseline(baseline_path, ALL_RULES)
 
     def test_violation_format_mentions_rule_and_site(self):
         result = lint(
@@ -317,91 +318,3 @@ class TestTreeAndBaseline:
         text = result.violations[0].format()
         assert "o1-size-loop" in text
         assert "synthetic.f" in text
-
-
-class TestPersistOutsideTxn:
-    def test_apply_without_commit_flags(self):
-        result = lint(
-            """
-            class Fs:
-                def sneaky(self, record):
-                    self._apply_alloc(record)
-            """
-        )
-        assert [v.rule for v in result.violations] == ["persist-outside-txn"]
-        violation = result.violations[0]
-        assert violation.declared is None
-        assert "persist-outside-txn" in violation.format()
-        assert "_apply_alloc" in violation.message
-
-    def test_commit_before_apply_passes(self):
-        result = lint(
-            """
-            class Fs:
-                def txn(self, record):
-                    self._journal_begin(record)
-                    self._journal_commit(record)
-                    self._apply_shrink(record)
-            """
-        )
-        assert result.violations == []
-
-    def test_commit_after_apply_still_flags(self):
-        result = lint(
-            """
-            class Fs:
-                def backwards(self, record):
-                    self._apply_free(record)
-                    self._journal_commit(record)
-            """
-        )
-        assert [v.rule for v in result.violations] == ["persist-outside-txn"]
-
-    def test_rule_fires_in_undeclared_functions(self):
-        # Unlike the cost-shape rules, no @o1/@complexity declaration is
-        # needed: every function is inside the persist contract.
-        result = lint(
-            """
-            def helper(fs, record):
-                fs._apply_alloc(record)
-            """
-        )
-        assert [v.rule for v in result.violations] == ["persist-outside-txn"]
-        assert result.functions_checked == 0  # not a declared function
-
-    def test_apply_implementations_are_exempt(self):
-        result = lint(
-            """
-            class Fs:
-                def _apply_alloc(self, record):
-                    self._apply_alloc_extent(record)
-            """
-        )
-        assert result.violations == []
-
-    def test_allow_comment_suppresses(self):
-        result = lint(
-            """
-            class Fs:
-                def crash_redo(self, record):
-                    # o1: allow(persist-outside-txn) -- committed redo
-                    self._apply_free(record)
-            """
-        )
-        assert result.violations == []
-        assert result.inline_suppressed == 1
-
-    def test_nested_def_is_its_own_scope(self):
-        # The inner function applies without committing; the outer
-        # commit must not excuse it.
-        result = lint(
-            """
-            class Fs:
-                def outer(self, record):
-                    self._journal_commit(record)
-                    def inner():
-                        self._apply_alloc(record)
-                    return inner
-            """
-        )
-        assert [v.rule for v in result.violations] == ["persist-outside-txn"]

@@ -1,10 +1,16 @@
 """repro-o1 lint subcommand."""
 
+import ast
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
+
+PACKAGE_ROOT = Path(repro.__file__).resolve().parent
 
 
 class TestLintCommand:
@@ -12,17 +18,21 @@ class TestLintCommand:
         assert main(["lint"]) == 0
         out = capsys.readouterr().out
         assert "o1 lint:" in out
-        assert "0 violation(s)" in out
+        assert "0 finding(s)" in out
+        assert "o1 fit:" not in out  # empirical checks only with --fit
 
     def test_lint_json_report(self, capsys, tmp_path):
         path = tmp_path / "lint_report.json"
         assert main(["lint", "--json", str(path)]) == 0
         report = json.loads(path.read_text())
-        assert report["version"] == 3
-        assert report["lint"]["violations"] == []
+        assert report["version"] == 4
+        assert report["lint"]["findings"] == []
         assert report["lint"]["functions_checked"] >= 50
         assert report.get("fit") is None
-        assert report.get("flow") is None
+        assert report.get("allocfit") is None
+        # Every static section, every run.
+        assert report["flow"]["findings"] == []
+        assert report["alloc"]["findings"] == []
 
     def test_lint_fit_single_op(self, capsys, tmp_path):
         path = tmp_path / "lint_report.json"
@@ -33,6 +43,7 @@ class TestLintCommand:
         out = capsys.readouterr().out
         assert "o1 fit: 1 operation(s)" in out
         assert "rangetrans.map_file" in out
+        assert "o1 allocfit:" not in out  # --op selected no allocfit op
         report = json.loads(path.read_text())
         ops = report["fit"]["operations"]
         assert len(ops) == 1
@@ -44,6 +55,9 @@ class TestLintCommand:
         out = capsys.readouterr().out
         assert "[control]" in out
         assert "fitted O(n)" in out
+
+    def test_unknown_op_exits_two(self, capsys):
+        assert main(["lint", "--fit", "--op", "no.such.op"]) == 2
 
     def test_dirty_tree_exits_one(self, capsys, tmp_path):
         pkg = tmp_path / "pkg"
@@ -67,42 +81,44 @@ class TestLintCommand:
         report_path = tmp_path / "lint_report.json"
         dot_path = tmp_path / "callgraph.dot"
         assert main(
-            ["lint", "--interproc", "--json", str(report_path),
-             "--dot", str(dot_path)]
+            ["lint", "--json", str(report_path), "--dot", str(dot_path)]
         ) == 0
         out = capsys.readouterr().out
         assert "o1 flow:" in out
-        assert "0 finding(s)" in out
         assert "2/2 controls verified" in out
+        assert "1/1 controls verified" in out
         assert "0 stale suppression(s)" in out
         assert dot_path.read_text().startswith("digraph")
         report = json.loads(report_path.read_text())
-        assert report["version"] == 3
         assert report["flow"]["findings"] == []
         assert len(report["flow"]["controls_verified"]) == 2
         assert report["flow"]["stale_suppressions"] == []
 
-    # Includes the allocfit cross-check of the unarmed hit path.
+    # The allocfit cross-check of the unarmed hit path.
     @pytest.mark.unarmed
     def test_alloc_clean_with_artifacts(self, capsys, tmp_path):
         report_path = tmp_path / "lint_report.json"
-        assert main(["lint", "--alloc", "--json", str(report_path)]) == 0
+        alloc_ops = [
+            "access.tlb_hit", "access.tlb_miss_walk",
+            "control.allocfree_retaining",
+        ]
+        argv = ["lint", "--fit", "--json", str(report_path)]
+        for name in alloc_ops:
+            argv += ["--op", name]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "o1 alloc:" in out
         assert "1/1 controls verified" in out
-        assert "allocfit: 3 op(s) cross-checked" in out
+        assert "o1 allocfit: 3 op(s) cross-checked" in out
+        assert "o1 fit:" not in out  # --op selected no fit op
         report = json.loads(report_path.read_text())
-        assert report["version"] == 3
         section = report["alloc"]
         assert section["findings"] == []
         assert section["stale_suppressions"] == []
         assert len(section["controls_verified"]) == 1
-        fit_rows = section["allocfit"]
+        fit_rows = report["allocfit"]
         assert all(row["ok"] for row in fit_rows)
-        assert {row["name"] for row in fit_rows} == {
-            "access.tlb_hit", "access.tlb_miss_walk",
-            "control.allocfree_retaining",
-        }
+        assert {row["name"] for row in fit_rows} == set(alloc_ops)
 
     def test_alloc_dirty_tree_exits_one(self, capsys, tmp_path):
         pkg = tmp_path / "pkg"
@@ -114,8 +130,7 @@ class TestLintCommand:
         empty = tmp_path / "baseline.json"
         empty.write_text('{"version": 1, "entries": []}')
         assert main(
-            ["lint", "--alloc", "--root", str(pkg),
-             "--baseline", str(empty), "--alloc-baseline", str(empty)]
+            ["lint", "--root", str(pkg), "--baseline", str(empty)]
         ) == 1
         out = capsys.readouterr().out
         assert "alloc-exceeds-declared" in out
@@ -134,8 +149,25 @@ class TestLintCommand:
         empty = tmp_path / "baseline.json"
         empty.write_text('{"version": 1, "entries": []}')
         assert main(
-            ["lint", "--interproc", "--root", str(pkg),
-             "--baseline", str(empty), "--flow-baseline", str(empty)]
+            ["lint", "--root", str(pkg), "--baseline", str(empty)]
         ) == 1
         out = capsys.readouterr().out
         assert "flow-cost-exceeds-declared" in out
+
+    def test_full_run_parses_each_file_once(self, capsys, tmp_path, monkeypatch):
+        """Every static pass works from the call graph's single parse."""
+        parsed = Counter()
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed[str(filename)] += 1
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        report_path = tmp_path / "lint_report.json"
+        assert main(["lint", "--json", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert {"lint", "flow", "alloc"} <= set(report), "a pass did not run"
+        files = {str(path) for path in PACKAGE_ROOT.rglob("*.py")}
+        per_file = {name: n for name, n in parsed.items() if name.endswith(".py")}
+        assert per_file == {path: 1 for path in files}

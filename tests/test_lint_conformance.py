@@ -7,25 +7,16 @@ lingers, or (c) a declared cost class stops matching what the simulated
 clock actually measures.
 """
 
-from pathlib import Path
-
 import pytest
 
-import repro
-from repro.lint.astcheck import lint_tree
-from repro.lint.baseline import DEFAULT_BASELINE, apply_baseline, load_baseline
 from repro.lint.decorators import ComplexityClass
 from repro.lint.ops import LIGHT_SIZES, OPERATIONS, fit_all
 
-PACKAGE_ROOT = Path(repro.__file__).parent
-
 
 @pytest.fixture(scope="module")
-def outcome():
-    result = lint_tree(PACKAGE_ROOT)
-    return result, apply_baseline(
-        result.violations, load_baseline(DEFAULT_BASELINE)
-    )
+def outcome(real_lint_run):
+    section = real_lint_run.section("lint")
+    return section, section.outcome
 
 
 class TestAstGate:
@@ -40,9 +31,9 @@ class TestAstGate:
         assert applied.stale == [], f"baseline entries no longer needed: {stale}"
 
     def test_checker_actually_saw_the_tree(self, outcome):
-        result, _ = outcome
-        assert result.files_checked >= 60
-        assert result.functions_checked >= 50
+        section, _ = outcome
+        assert section.stats["files_checked"] >= 60
+        assert section.stats["functions_checked"] >= 50
 
     def test_legacy_baseline_is_retired(self, outcome):
         # grow_region's VMA-overlap scan and CryptoErase.return_frames'

@@ -1,8 +1,9 @@
 """Interprocedural O(1) conformance: repro.lint.flow and friends.
 
 Covers the call-graph builder, the transitive cost summaries, the
-must-call protocol checks, the planted controls, stale-suppression
-detection, the flow section of ``lint_report.json``, the flow baseline
+must-call protocol checks (persist ordering ported case by case from the
+retired intraprocedural rule), the planted controls, stale-suppression
+detection, the flow section of ``lint_report.json``, the baseline
 round-trip — and the two intraprocedural false negatives this pass
 exists to close, pinned as regression tests.
 """
@@ -15,10 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.astcheck import lint_tree
-from repro.lint.baseline import apply_baseline, load_baseline
 from repro.lint.callgraph import build_callgraph
-from repro.lint.flow import ALLOWABLE_RULES, CONTROLS, run_flow
+from repro.lint.findings import load_baseline
+from repro.lint.flow import BASELINE_RULES, CONTROLS, run_lint
 from repro.lint.protocols import (
     RULE_FLOW_PERSIST,
     RULE_STALE_TRANSLATION,
@@ -29,7 +29,7 @@ from repro.lint.summaries import (
     RULE_COST_EXCEEDS,
     RULE_UNDECLARED,
     Cost,
-    SummaryTable,
+    cost_table,
 )
 
 REPRO_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -47,14 +47,8 @@ def make_pkg(tmp_path: Path, files: dict) -> Path:
     return pkg
 
 
-def flow(pkg: Path, with_intra: bool = False):
-    intra_used = None
-    if with_intra:
-        intra_used = {
-            p: set(lines)
-            for p, lines in lint_tree(pkg).used_allows.items()
-        }
-    return run_flow(pkg, package="pkg", intra_used=intra_used)
+def flow(pkg: Path):
+    return run_lint(pkg, package="pkg").section("flow")
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +195,9 @@ class TestSummaries:
                 return total
         """})
         graph = build_callgraph(pkg, package="pkg")
-        table = SummaryTable(graph)
-        assert table.summaries["pkg.mod.helper"].cost is Cost.LINEAR
-        assert table.summaries["pkg.mod.entry"].cost is Cost.LINEAR
+        table = cost_table(graph)
+        assert table.summaries["pkg.mod.helper"].value is Cost.LINEAR
+        assert table.summaries["pkg.mod.entry"].value is Cost.LINEAR
         chain = table.witness_chain("pkg.mod.entry")
         assert chain, "exceeding summary must carry a witness chain"
 
@@ -220,8 +214,8 @@ class TestSummaries:
                     tick()
         """})
         graph = build_callgraph(pkg, package="pkg")
-        table = SummaryTable(graph)
-        assert table.summaries["pkg.mod.walk"].cost is Cost.LINEAR
+        table = cost_table(graph)
+        assert table.summaries["pkg.mod.walk"].value is Cost.LINEAR
 
     def test_log_callee_in_loop_scales_to_linearithmic(self, tmp_path):
         pkg = make_pkg(tmp_path, {"mod.py": """
@@ -236,8 +230,8 @@ class TestSummaries:
                     probe(page)
         """})
         graph = build_callgraph(pkg, package="pkg")
-        table = SummaryTable(graph)
-        assert table.summaries["pkg.mod.walk"].cost is Cost.LINEARITHMIC
+        table = cost_table(graph)
+        assert table.summaries["pkg.mod.walk"].value is Cost.LINEARITHMIC
 
     def test_mutual_recursion_is_unbounded(self, tmp_path):
         pkg = make_pkg(tmp_path, {"mod.py": """
@@ -248,9 +242,9 @@ class TestSummaries:
                 return ping(x)
         """})
         graph = build_callgraph(pkg, package="pkg")
-        table = SummaryTable(graph)
-        assert table.summaries["pkg.mod.ping"].cost is Cost.UNBOUNDED
-        assert table.summaries["pkg.mod.pong"].cost is Cost.UNBOUNDED
+        table = cost_table(graph)
+        assert table.summaries["pkg.mod.ping"].value is Cost.UNBOUNDED
+        assert table.summaries["pkg.mod.pong"].value is Cost.UNBOUNDED
 
 
 # ---------------------------------------------------------------------------
@@ -273,25 +267,23 @@ class TestIntraFalseNegatives:
                     total += page
                 return total
         """})
-        intra = lint_tree(pkg)
-        assert intra.violations == []
-        result = flow(pkg)
+        run = run_lint(pkg, package="pkg")
+        assert run.section("lint").findings == []
+        result = run.section("flow")
         findings = [f for f in result.findings if f.rule == RULE_COST_EXCEEDS]
         assert [f.function for f in findings] == ["pkg.mod.entry"]
         assert any("helper" in hop.fid for hop in findings[0].chain)
 
     def test_commit_in_helper_persist(self, tmp_path):
-        """The apply site carries the classic "caller commits" allow, so
-        intra is silent — and no caller on the path ever commits."""
+        """The helper alone looks like "the caller commits" — and no
+        caller on the path ever commits."""
         pkg = make_pkg(tmp_path, {"mod.py": """
             def root_op(fs):
                 _helper_apply(fs)
 
             def _helper_apply(fs):
-                fs._apply_alloc(None)  # o1: allow(persist-outside-txn) -- caller commits
+                fs._apply_alloc(None)
         """})
-        intra = lint_tree(pkg)
-        assert intra.violations == []
         result = flow(pkg)
         findings = [f for f in result.findings if f.rule == RULE_FLOW_PERSIST]
         assert any(f.function == "pkg.mod.root_op" for f in findings)
@@ -303,10 +295,91 @@ class TestIntraFalseNegatives:
                 _helper_apply(fs)
 
             def _helper_apply(fs):
-                fs._apply_alloc(None)  # o1: allow(persist-outside-txn) -- caller commits
+                fs._apply_alloc(None)
         """})
         result = flow(pkg)
         assert [f for f in result.findings if f.rule == RULE_FLOW_PERSIST] == []
+
+
+# ---------------------------------------------------------------------------
+# Must-call protocol: journal commit before apply
+# ---------------------------------------------------------------------------
+def persist_findings(tmp_path, source: str):
+    pkg = make_pkg(tmp_path, {"mod.py": source})
+    result = flow(pkg)
+    return result, [f for f in result.findings if f.rule == RULE_FLOW_PERSIST]
+
+
+class TestPersistOutsideTxn:
+    def test_apply_without_commit_flags(self, tmp_path):
+        _, findings = persist_findings(tmp_path, """
+            class Fs:
+                def sneaky(self, record):
+                    self._apply_alloc(record)
+        """)
+        assert [f.function for f in findings] == ["pkg.mod.Fs.sneaky"]
+        assert "_journal_commit" in findings[0].message
+        assert "_apply_alloc" in findings[0].chain[-1].note
+
+    def test_commit_before_apply_passes(self, tmp_path):
+        _, findings = persist_findings(tmp_path, """
+            class Fs:
+                def txn(self, record):
+                    self._journal_begin(record)
+                    self._journal_commit(record)
+                    self._apply_shrink(record)
+        """)
+        assert findings == []
+
+    def test_commit_after_apply_still_flags(self, tmp_path):
+        _, findings = persist_findings(tmp_path, """
+            class Fs:
+                def backwards(self, record):
+                    self._apply_free(record)
+                    self._journal_commit(record)
+        """)
+        assert [f.function for f in findings] == ["pkg.mod.Fs.backwards"]
+
+    def test_rule_fires_in_undeclared_functions(self, tmp_path):
+        # No @o1/@complexity declaration is needed: every function is
+        # inside the persist contract.
+        _, findings = persist_findings(tmp_path, """
+            def helper(fs, record):
+                fs._apply_alloc(record)
+        """)
+        assert [f.function for f in findings] == ["pkg.mod.helper"]
+
+    def test_apply_implementations_are_exempt(self, tmp_path):
+        # An apply built on another apply is the primitive itself.
+        _, findings = persist_findings(tmp_path, """
+            class Fs:
+                def _apply_alloc(self, record):
+                    self._apply_shrink(record)
+        """)
+        assert findings == []
+
+    def test_allow_comment_suppresses(self, tmp_path):
+        result, findings = persist_findings(tmp_path, """
+            class Fs:
+                def crash_redo(self, record):
+                    # o1: allow(flow-persist-outside-txn) -- committed redo
+                    self._apply_free(record)
+        """)
+        assert findings == []
+        assert result.stale_suppressions == []
+
+    def test_nested_def_is_its_own_scope(self, tmp_path):
+        # The inner function applies without committing; the outer
+        # commit must not excuse it.
+        _, findings = persist_findings(tmp_path, """
+            class Fs:
+                def outer(self, record):
+                    self._journal_commit(record)
+                    def inner():
+                        self._apply_alloc(record)
+                    return inner
+        """)
+        assert [f.function for f in findings] == ["pkg.mod.Fs.outer.inner"]
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +428,35 @@ class TestStaleTranslationProtocol:
             f for f in result.findings if f.rule == RULE_STALE_TRANSLATION
         ] == []
 
+    def test_early_return_carries_the_pending_mutation(self, tmp_path):
+        """A path that returns before the invalidation still leaks."""
+        pkg = make_pkg(tmp_path, {"mod.py": """
+            class PageTable:
+                def unmap(self, va):
+                    return va
+
+            class Tlb:
+                def flush_all(self):
+                    return 0
+
+            class Syscalls:
+                def __init__(self, pt: PageTable, tlb: Tlb) -> None:
+                    self._pt = pt
+                    self._tlb = tlb
+
+                def munmap(self, va, fast):
+                    if fast:
+                        self._pt.unmap(va)
+                        return va
+                    self._tlb.flush_all()
+                    return va
+        """})
+        result = flow(pkg)
+        assert [
+            f.function for f in result.findings
+            if f.rule == RULE_STALE_TRANSLATION
+        ] == ["pkg.mod.Syscalls.munmap"]
+
     def test_protocol_effects_computed_per_function(self, tmp_path):
         pkg = make_pkg(tmp_path, {
             "mod.py": _SYSCALL_FIXTURE.format(epilogue="return va"),
@@ -370,14 +472,12 @@ class TestStaleTranslationProtocol:
 # ---------------------------------------------------------------------------
 class TestRealTree:
     @pytest.fixture(scope="class")
-    def real_flow(self):
-        intra = lint_tree(REPRO_ROOT)
-        used = {p: set(lines) for p, lines in intra.used_allows.items()}
-        return intra, run_flow(REPRO_ROOT, intra_used=used)
+    def real_flow(self, real_lint_run):
+        return real_lint_run, real_lint_run.section("flow")
 
     def test_tree_is_clean_with_empty_baseline(self, real_flow):
-        intra, result = real_flow
-        assert intra.violations == []
+        run, result = real_flow
+        assert run.section("lint").findings == []
         assert result.findings == []
 
     def test_no_stale_suppressions(self, real_flow):
@@ -403,17 +503,18 @@ class TestRealTree:
         unresolvable), measuring 0.3874 with the resolver unchanged.
         """
         _, result = real_flow
-        ratio = result.sites_resolved / result.sites_total
+        resolved = result.stats["call_sites_resolved"]
+        total = result.stats["call_sites_total"]
+        ratio = resolved / total
         assert ratio >= 0.385, (
-            f"resolution ratio fell to {ratio:.4f} "
-            f"({result.sites_resolved}/{result.sites_total})"
+            f"resolution ratio fell to {ratio:.4f} ({resolved}/{total})"
         )
 
     def test_cpu_tlb_attributes_are_typed(self, real_flow):
         """The hot-path certificate depends on these exact attribute
         types: Cpu._translate's tlb calls must resolve."""
-        _, result = real_flow
-        graph = result.graph
+        run, _ = real_flow
+        graph = run.graph
         cpu = next(
             cid for cid in graph.classes if cid == "repro.hw.cpu.Cpu"
         )
@@ -443,7 +544,7 @@ class TestRealTree:
         )
         assert mutated != source, "mutation target not found"
         target.write_text(mutated)
-        result = run_flow(mutant_root)
+        result = run_lint(mutant_root).section("flow")
         stale = [
             f for f in result.findings if f.rule == RULE_STALE_TRANSLATION
         ]
@@ -466,7 +567,7 @@ class TestStaleSuppressions:
                 # o1: allow(o1-size-loop) -- obsolete: the loop is long gone
                 return 1
         """})
-        result = flow(pkg, with_intra=True)
+        result = flow(pkg)
         assert len(result.stale_suppressions) == 1
         stale = result.stale_suppressions[0]
         assert stale.rules == ("o1-size-loop",)
@@ -484,45 +585,46 @@ class TestStaleSuppressions:
                     total += entry
                 return total
         """})
-        result = flow(pkg, with_intra=True)
+        result = flow(pkg)
         assert result.stale_suppressions == []
 
 
 # ---------------------------------------------------------------------------
 # Report schema and baseline round-trip
 # ---------------------------------------------------------------------------
+_EXCEEDING = {"mod.py": """
+    from repro.lint import o1
+
+    @o1
+    def entry(pages):
+        return helper(pages)
+
+    def helper(pages):
+        total = 0
+        for page in pages:
+            total += page
+        return total
+"""}
+
+
+def write_baseline(path: Path, entries) -> Path:
+    path.write_text(json.dumps({"version": 1, "entries": entries}))
+    return path
+
+
 class TestFlowReport:
-    def _fixture_result(self, tmp_path):
-        pkg = make_pkg(tmp_path, {"mod.py": """
-            from repro.lint import o1
-
-            @o1
-            def entry(pages):
-                return helper(pages)
-
-            def helper(pages):
-                total = 0
-                for page in pages:
-                    total += page
-                return total
-        """})
-        return lint_tree(pkg), flow(pkg)
-
     def test_flow_section_schema(self, tmp_path):
-        intra, result = self._fixture_result(tmp_path)
-        outcome = apply_baseline(intra.violations, [])
-        flow_outcome = apply_baseline(result.findings, [])
-        report = build_report(
-            intra, outcome, flow=result, flow_outcome=flow_outcome
-        )
-        assert report["version"] == REPORT_VERSION == 3
+        run = run_lint(make_pkg(tmp_path, _EXCEEDING), package="pkg")
+        report = build_report(run)
+        assert report["version"] == REPORT_VERSION == 4
         section = report["flow"]
         assert set(section) == {
-            "entries", "files", "functions", "call_sites", "findings",
-            "baseline_suppressed", "stale_baseline_entries",
-            "controls_verified", "stale_suppressions",
+            "entries", "files", "functions", "call_sites_total",
+            "call_sites_resolved", "findings", "baseline_suppressed",
+            "stale_baseline_entries", "controls_verified",
+            "stale_suppressions",
         }
-        assert section["call_sites"]["resolved"] <= section["call_sites"]["total"]
+        assert section["call_sites_resolved"] <= section["call_sites_total"]
         (finding,) = [
             f for f in section["findings"]
             if f["rule"] == RULE_COST_EXCEEDS
@@ -533,63 +635,52 @@ class TestFlowReport:
         assert set(hop) == {"function", "path", "line", "note"}
 
     def test_render_text_shows_chain(self, tmp_path):
-        intra, result = self._fixture_result(tmp_path)
-        outcome = apply_baseline(intra.violations, [])
-        flow_outcome = apply_baseline(result.findings, [])
-        text = render_text(
-            intra, outcome, flow=result, flow_outcome=flow_outcome
-        )
+        run = run_lint(make_pkg(tmp_path, _EXCEEDING), package="pkg")
+        text = render_text(run)
         assert "o1 flow:" in text
         assert "FINDING" in text
         assert "pkg.mod.helper" in text  # the witness hop, not just the root
 
     def test_baseline_round_trip(self, tmp_path):
-        _, result = self._fixture_result(tmp_path)
+        pkg = make_pkg(tmp_path, _EXCEEDING)
         exceed = [
-            f for f in result.findings if f.rule == RULE_COST_EXCEEDS
+            f for f in run_lint(pkg, package="pkg").section("flow").findings
+            if f.rule == RULE_COST_EXCEEDS
         ]
-        baseline_path = tmp_path / "flow_baseline.json"
-        baseline_path.write_text(json.dumps({
-            "version": 1,
-            "entries": [
-                {
-                    "function": f.function,
-                    "rule": f.rule,
-                    "reason": "pinned for the round-trip test",
-                }
-                for f in exceed
-            ],
-        }))
-        entries = load_baseline(baseline_path, known_rules=ALLOWABLE_RULES)
-        outcome = apply_baseline(result.findings, entries)
+        baseline = write_baseline(tmp_path / "baseline.json", [
+            {
+                "function": f.function,
+                "rule": f.rule,
+                "reason": "pinned for the round-trip test",
+            }
+            for f in exceed
+        ])
+        outcome = run_lint(pkg, package="pkg", baseline=baseline).section(
+            "flow"
+        ).outcome
         assert outcome.suppressed == exceed
         assert outcome.stale == []
         assert all(f.rule != RULE_COST_EXCEEDS for f in outcome.new)
 
     def test_baseline_stale_entry_detected(self, tmp_path):
-        _, result = self._fixture_result(tmp_path)
-        baseline_path = tmp_path / "flow_baseline.json"
-        baseline_path.write_text(json.dumps({
-            "version": 1,
-            "entries": [{
-                "function": "pkg.mod.gone",
-                "rule": RULE_UNDECLARED,
-                "reason": "the function this pinned was deleted",
-            }],
-        }))
-        entries = load_baseline(baseline_path, known_rules=ALLOWABLE_RULES)
-        outcome = apply_baseline(result.findings, entries)
+        baseline = write_baseline(tmp_path / "baseline.json", [{
+            "function": "pkg.mod.gone",
+            "rule": RULE_UNDECLARED,
+            "reason": "the function this pinned was deleted",
+        }])
+        run = run_lint(
+            make_pkg(tmp_path, _EXCEEDING), package="pkg", baseline=baseline
+        )
+        outcome = run.section("flow").outcome
         assert [e.function for e in outcome.stale] == ["pkg.mod.gone"]
+        assert run.section("alloc").outcome.stale == []
+        assert run.failed
 
     def test_baseline_rejects_unknown_rule(self, tmp_path):
-        baseline_path = tmp_path / "flow_baseline.json"
-        baseline_path.write_text(json.dumps({
-            "version": 1,
-            "entries": [{
-                "function": "pkg.mod.f",
-                "rule": "flow-not-a-rule",
-                "reason": "typo",
-            }],
-        }))
+        baseline = write_baseline(tmp_path / "baseline.json", [{
+            "function": "pkg.mod.f",
+            "rule": "flow-not-a-rule",
+            "reason": "typo",
+        }])
         with pytest.raises(ValueError, match="unknown rule"):
-            load_baseline(baseline_path, known_rules=ALLOWABLE_RULES)
+            load_baseline(baseline, known_rules=BASELINE_RULES)

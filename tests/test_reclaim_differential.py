@@ -368,8 +368,7 @@ class _Machine:
         self.evictions = []
         spaces = [parent.space]
         if fork:
-            child = sys_calls.fork()
-            child.space.lru = kernel.lru
+            child = sys_calls.fork()  # inherits the parent's LRU tracking
             spaces.append(child.space)
             for page in writes:  # COW breaks unpin some of the parent's pages
                 kernel.access(parent, va + (page % pages) * PAGE_SIZE, write=True)

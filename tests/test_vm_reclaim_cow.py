@@ -142,3 +142,60 @@ class TestTargetedReclaim:
         )
         assert reclaimed == 0
         assert kernel.counters.get("reclaim_scanned") - scanned_before <= 4
+
+
+# ----------------------------------------------------------------------
+# LRU tracking across fork and COW breaks
+# ----------------------------------------------------------------------
+def _listed(kernel):
+    """(pfn, space, vaddr) of every entry on either LRU list."""
+    return {
+        (entry.pfn, entry.space, entry.vaddr)
+        for entry in (*kernel.lru.active, *kernel.lru.inactive)
+    }
+
+
+class TestLruFollowsMappings:
+    def test_cow_break_moves_the_entry_to_the_private_copy(self, swap_kernel):
+        kernel = swap_kernel
+        parent = kernel.spawn("parent", track_lru=True)
+        va = kernel.syscalls(parent).mmap(8 * PAGE_SIZE, flags=MapFlags.PRIVATE)
+        for i in range(8):
+            kernel.access(parent, va + i * PAGE_SIZE, write=True)
+        kernel.fork(parent)
+        for i in range(4):
+            kernel.access(parent, va + i * PAGE_SIZE, write=True)
+
+        mapped = {
+            (parent.space.page_table.lookup(page).pfn, parent.space, page)
+            for page in (va + i * PAGE_SIZE for i in range(8))
+        }
+        # Every page the parent maps is on the LRU under the frame it
+        # maps now, the four private copies included.
+        assert mapped <= _listed(kernel)
+        assert kernel.lru.resident_count == 8
+
+    @pytest.mark.parametrize("fork_policy", ["cow", "eager"])
+    def test_children_of_tracked_parents_are_reclaimable(self, fork_policy):
+        kernel = Kernel(
+            MachineConfig(
+                dram_bytes=64 * MIB, nvm_bytes=1 * GIB, swap_pages=1024,
+                fork_policy=fork_policy,
+            )
+        )
+        parent = kernel.spawn("parent", track_lru=True)
+        child = kernel.syscalls(parent).fork()
+        assert child.space.lru is kernel.lru
+
+        va = kernel.syscalls(child).mmap(PAGES * PAGE_SIZE, flags=MapFlags.PRIVATE)
+        for i in range(PAGES):
+            kernel.access(child, va + i * PAGE_SIZE, write=True)
+        assert {(child.space, va + i * PAGE_SIZE) for i in range(PAGES)} <= {
+            (space, vaddr) for _pfn, space, vaddr in _listed(kernel)
+        }
+        assert _reclaimer(kernel).reclaim(PAGES // 2) == PAGES // 2
+        assert child.space.resident_pages() == PAGES - PAGES // 2
+
+    def test_untracked_parents_fork_untracked_children(self, swap_kernel):
+        parent = swap_kernel.spawn("parent")
+        assert swap_kernel.syscalls(parent).fork().space.lru is None
